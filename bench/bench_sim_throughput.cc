@@ -68,8 +68,8 @@ struct VmmCounters
         tlbHits += m.stats().tlbHits;
         tlbMisses += m.stats().tlbMisses;
         blockBuilds += m.stats().blockBuilds;
-        blockExecutions += m.stats().blockExecutions;
-        blockInstructions += m.stats().blockInstructions;
+        blockExecutions += m.stats().threadedExecutions;
+        blockInstructions += m.stats().threadedInstructions;
         blockInvalidations += m.stats().blockInvalidations;
         traceLinksFormed += m.stats().traceLinksFormed;
         traceLinksTaken += m.stats().traceLinksTaken;
@@ -226,23 +226,21 @@ branchLoop(Longword iterations)
 }
 
 /**
- * A/B pair for the trace tier: the same branch-dense loop with
- * superblock trace links on (the default) and forced off, so the
- * checked-in JSON records the win from chaining hot blocks across
- * branches.  check_bench_regression.sh asserts the linked run
- * retires at least as many guest instructions per second as the
- * unlinked one.
+ * A/B pair for the trace tier: the same branch-dense loop on the
+ * Threaded tier (trace links on, the default) and the Blocks tier
+ * (the same executor with links off), so the checked-in JSON records
+ * the win from chaining hot blocks across branches.
+ * check_bench_regression.sh asserts the linked run retires at least
+ * as many guest instructions per second as the unlinked one.
  */
 void
-runBareTraceBenchmark(benchmark::State &state, bool linked,
-                      ExecTier tier = ExecTier::Threaded)
+runBareTraceBenchmark(benchmark::State &state, ExecTier tier)
 {
     const Longword iters = 20000;
     // Machine reuse as in BM_BareExecution: the pair measures the
     // steady-state dispatch rate with the block cache and links warm,
     // which is exactly the regime the trace tier targets.
     RealMachine m;
-    m.cpu().setTraceLinksEnabled(linked);
     m.cpu().setExecTier(tier);
     CodeBuilder b = branchLoop(iters);
     auto image = b.finish();
@@ -268,8 +266,6 @@ runBareTraceBenchmark(benchmark::State &state, bool linked,
         static_cast<double>(m.stats().traceLinksFormed), avg);
     state.counters["trace_links_taken"] = benchmark::Counter(
         static_cast<double>(m.stats().traceLinksTaken), avg);
-    state.counters["block_executions"] = benchmark::Counter(
-        static_cast<double>(m.stats().blockExecutions), avg);
     state.counters["guest_instructions"] = benchmark::Counter(
         static_cast<double>(m.stats().instructions), avg);
     state.counters["threaded_executions"] = benchmark::Counter(
@@ -281,38 +277,16 @@ runBareTraceBenchmark(benchmark::State &state, bool linked,
 void
 BM_BareLinked(benchmark::State &state)
 {
-    runBareTraceBenchmark(state, true);
+    runBareTraceBenchmark(state, ExecTier::Threaded);
 }
 BENCHMARK(BM_BareLinked)->Unit(benchmark::kMillisecond);
 
 void
 BM_BareUnlinked(benchmark::State &state)
 {
-    runBareTraceBenchmark(state, false);
+    runBareTraceBenchmark(state, ExecTier::Blocks);
 }
 BENCHMARK(BM_BareUnlinked)->Unit(benchmark::kMillisecond);
-
-/**
- * A/B pair for the threaded-code tier (docs/ARCHITECTURE.md §5c):
- * the same branch-dense loop with trace links on in both runs, so
- * the only difference is the dispatch mechanism - compiled handler
- * chains versus re-entering the FusedKind switch per instruction.
- * check_bench_regression.sh asserts the threaded run clears a fixed
- * multiple of the switch run's instruction rate.
- */
-void
-BM_BareThreaded(benchmark::State &state)
-{
-    runBareTraceBenchmark(state, true, ExecTier::Threaded);
-}
-BENCHMARK(BM_BareThreaded)->Unit(benchmark::kMillisecond);
-
-void
-BM_BareSwitch(benchmark::State &state)
-{
-    runBareTraceBenchmark(state, true, ExecTier::Blocks);
-}
-BENCHMARK(BM_BareSwitch)->Unit(benchmark::kMillisecond);
 
 void
 BM_VirtualizedExecution(benchmark::State &state)

@@ -6,10 +6,10 @@ cmake -B build
 cmake --build build -j "$(nproc)"
 # The whole suite once per host execution tier (VVAX_EXEC_TIER,
 # docs/ARCHITECTURE.md §5c): the lockstep digests must hold whether
-# hot code retires through the fast path alone, the superblock
-# switch executor, or the threaded-code driver.  The reference tier
-# needs no pass of its own - every equivalence test drives it
-# internally as the baseline half of its digest comparison.
+# hot code retires through the fast path alone, or through the block
+# executor with trace links off (blocks) or on (threaded).  The
+# reference tier needs no pass of its own - every equivalence test
+# drives it internally as the baseline half of its digest comparison.
 for tier in fast blocks threaded; do
     echo "=== ctest: VVAX_EXEC_TIER=$tier"
     env VVAX_EXEC_TIER="$tier" \
@@ -73,7 +73,7 @@ SWEEP_PLAN_FOR_SEED() {
       echo "=== fault sweep: tree=$tree seed=$s"
       # Pin the threaded tier explicitly (it is also the default):
       # faults must land identically when the victim retires hot code
-      # through compiled handler chains.
+      # through linked block chains.
       env $SAN_ENV VVAX_EXEC_TIER=threaded \
           VVAX_FAULT_PLAN="$(SWEEP_PLAN_FOR_SEED "$s")" \
           "$tree/tests/test_fault_injection" \
@@ -103,6 +103,12 @@ SWEEP_PLAN_FOR_SEED() {
     { cat fault_sweep_output.txt; exit 1; }
 grep -c '^=== fault sweep' fault_sweep_output.txt |
     xargs -I{} echo "fault sweep: {} runs passed"
+
+# The benchmark's own checks (vbench/README.md "Checks"): tiny sizes,
+# every output check shown rejecting a corrupted result.
+python3 vbench/run.py --selftest >vbench_selftest_output.txt 2>&1 ||
+    { cat vbench_selftest_output.txt; exit 1; }
+tail -n 1 vbench_selftest_output.txt
 
 {
   for b in build/bench/*; do

@@ -8,8 +8,8 @@
  * stops at the first control transfer (which may end the block) or
  * sensitive opcode (which may not enter it at all).  Each appended
  * instruction is classified: the hottest opcode+addressing-mode pairs
- * get a FusedKind handled inline by the block executor in
- * dispatch.cc; everything else keeps its full PredecodedInstr
+ * get a BlockOp handled inline by the block executor in
+ * block_exec.cc; everything else keeps its full PredecodedInstr
  * template and replays through the ordinary decode/execute machinery.
  *
  * The classification is conservative by construction: only entries
@@ -218,17 +218,39 @@ isMem(const PredecodedOp &t)
            t.indexReg == 0xFF;
 }
 
-/** Encode a fusable memory operand into (b, imm): b = 0xFF marks an
- *  absolute address, otherwise addr = R[b] + imm. */
+/** Encode a fusable memory operand into (b, imm) and pick the
+ *  absolute (@p abs_op) or register-based (@p abs_op - 1) handler. */
 void
-setMemOperand(BlockInstr &bi, const PredecodedOp &t)
+setMemOperand(BlockInstr &bi, const PredecodedOp &t, BlockOp abs_op)
 {
     if (t.kind == PdKind::Absolute) {
-        bi.b = 0xFF;
+        bi.op = abs_op;
         bi.imm = t.disp;
     } else {
+        bi.op = static_cast<BlockOp>(static_cast<Byte>(abs_op) - 1);
         bi.b = t.reg;
         bi.imm = t.kind == PdKind::Disp ? t.disp : 0;
+    }
+}
+
+/** The handler for a conditional branch opcode, or Generic. */
+BlockOp
+condBranchOp(Opcode op)
+{
+    switch (op) {
+      case Opcode::BNEQ: return BlockOp::Bneq;
+      case Opcode::BEQL: return BlockOp::Beql;
+      case Opcode::BGTR: return BlockOp::Bgtr;
+      case Opcode::BLEQ: return BlockOp::Bleq;
+      case Opcode::BGEQ: return BlockOp::Bgeq;
+      case Opcode::BLSS: return BlockOp::Blss;
+      case Opcode::BGTRU: return BlockOp::Bgtru;
+      case Opcode::BLEQU: return BlockOp::Blequ;
+      case Opcode::BVC: return BlockOp::Bvc;
+      case Opcode::BVS: return BlockOp::Bvs;
+      case Opcode::BCC: return BlockOp::Bcc;
+      case Opcode::BCS: return BlockOp::Bcs;
+      default: return BlockOp::Generic;
     }
 }
 
@@ -245,7 +267,7 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
     const auto op = static_cast<Opcode>(ci.opcode);
     const PredecodedOp *o = ci.ops.data();
 
-    bi.kind = FusedKind::Generic;
+    bi.op = BlockOp::Generic;
     bi.fetchesPre = totalFetches(ci);
     bi.fetchesPost = 0;
 
@@ -253,30 +275,27 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::MOVL:
         if (isReg(o[1])) {
             if (isReg(o[0])) {
-                bi.kind = FusedKind::MovRR;
+                bi.op = BlockOp::MovRR;
                 bi.a = o[0].reg;
                 bi.b = o[1].reg;
             } else if (isImm(o[0])) {
-                bi.kind = FusedKind::MovIR;
+                bi.op = BlockOp::MovIR;
                 bi.imm = o[0].disp;
                 bi.b = o[1].reg;
             } else if (isMem(o[0])) {
-                bi.kind = FusedKind::MovMR;
                 bi.a = o[1].reg;
-                setMemOperand(bi, o[0]);
+                setMemOperand(bi, o[0], BlockOp::MovMRabs);
                 bi.fetchesPre = static_cast<Byte>(ci.opcodeFetches +
                                                   o[0].fetches);
                 bi.fetchesPost = o[1].fetches;
             }
         } else if (isMem(o[1])) {
             if (isReg(o[0])) {
-                bi.kind = FusedKind::MovRM;
                 bi.a = o[0].reg;
-                setMemOperand(bi, o[1]);
+                setMemOperand(bi, o[1], BlockOp::MovRMabs);
             } else if (isImm(o[0])) {
-                bi.kind = FusedKind::MovIM;
                 bi.imm2 = o[0].disp;
-                setMemOperand(bi, o[1]);
+                setMemOperand(bi, o[1], BlockOp::MovIMabs);
             }
         }
         break;
@@ -287,22 +306,21 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BICL2:
       case Opcode::XORL2:
         if (isReg(o[1])) {
-            FusedKind rr = FusedKind::Generic;
+            BlockOp rr = BlockOp::Generic;
             switch (op) {
-              case Opcode::ADDL2: rr = FusedKind::AddRR; break;
-              case Opcode::SUBL2: rr = FusedKind::SubRR; break;
-              case Opcode::BISL2: rr = FusedKind::BisRR; break;
-              case Opcode::BICL2: rr = FusedKind::BicRR; break;
-              default: rr = FusedKind::XorRR; break;
+              case Opcode::ADDL2: rr = BlockOp::AddRR; break;
+              case Opcode::SUBL2: rr = BlockOp::SubRR; break;
+              case Opcode::BISL2: rr = BlockOp::BisRR; break;
+              case Opcode::BICL2: rr = BlockOp::BicRR; break;
+              default: rr = BlockOp::XorRR; break;
             }
             if (isReg(o[0])) {
-                bi.kind = rr;
+                bi.op = rr;
                 bi.a = o[0].reg;
                 bi.b = o[1].reg;
             } else if (isImm(o[0])) {
-                // *IR immediately follows *RR in the enum.
-                bi.kind = static_cast<FusedKind>(
-                    static_cast<Byte>(rr) + 1);
+                // *IR immediately follows *RR in VVAX_BLOCK_OPS.
+                bi.op = static_cast<BlockOp>(static_cast<Byte>(rr) + 1);
                 bi.imm = o[0].disp;
                 bi.b = o[1].reg;
             }
@@ -311,15 +329,15 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
 
       case Opcode::CMPL:
         if (isReg(o[0]) && isReg(o[1])) {
-            bi.kind = FusedKind::CmpRR;
+            bi.op = BlockOp::CmpRR;
             bi.a = o[0].reg;
             bi.b = o[1].reg;
         } else if (isImm(o[0]) && isReg(o[1])) {
-            bi.kind = FusedKind::CmpIR;
+            bi.op = BlockOp::CmpIR;
             bi.imm = o[0].disp;
             bi.b = o[1].reg;
         } else if (isReg(o[0]) && isImm(o[1])) {
-            bi.kind = FusedKind::CmpRI;
+            bi.op = BlockOp::CmpRI;
             bi.a = o[0].reg;
             bi.imm = o[1].disp;
         }
@@ -327,32 +345,32 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
 
       case Opcode::TSTL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::TstR;
+            bi.op = BlockOp::TstR;
             bi.a = o[0].reg;
         }
         break;
       case Opcode::CLRL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::ClrR;
+            bi.op = BlockOp::ClrR;
             bi.b = o[0].reg;
         }
         break;
       case Opcode::INCL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::IncR;
+            bi.op = BlockOp::IncR;
             bi.b = o[0].reg;
         }
         break;
       case Opcode::DECL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::DecR;
+            bi.op = BlockOp::DecR;
             bi.b = o[0].reg;
         }
         break;
 
       case Opcode::BRB:
       case Opcode::BRW:
-        bi.kind = FusedKind::Bra;
+        bi.op = BlockOp::Bra;
         bi.imm = o[0].disp;
         break;
 
@@ -368,17 +386,16 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BVS:
       case Opcode::BCC:
       case Opcode::BCS:
-        bi.kind = FusedKind::CondBr;
-        bi.a = static_cast<Byte>(ci.opcode);
+        bi.op = condBranchOp(op);
         bi.imm = o[0].disp;
         break;
 
       case Opcode::SOBGEQ:
       case Opcode::SOBGTR:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::Sob;
+            bi.op = op == Opcode::SOBGTR ? BlockOp::SobGtr
+                                         : BlockOp::SobGeq;
             bi.a = o[0].reg;
-            bi.b = op == Opcode::SOBGTR ? 1 : 0;
             bi.imm = o[1].disp;
         }
         break;
@@ -386,9 +403,8 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BLBS:
       case Opcode::BLBC:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::BlbR;
+            bi.op = op == Opcode::BLBS ? BlockOp::Blbs : BlockOp::Blbc;
             bi.a = o[0].reg;
-            bi.b = op == Opcode::BLBS ? 1 : 0;
             bi.imm = o[1].disp;
         }
         break;
@@ -404,7 +420,6 @@ appendInstr(Block &blk, const PredecodedInstr &ci, const CostModel &cost)
     BlockInstr &bi = blk.instrs[blk.count++];
     bi = BlockInstr{};
     bi.len = ci.len;
-    bi.info = ci.info;
     // No in-block opcode carries extraCharge or suppressBase (every
     // setter lives in the sensitive set stopsBlock() rejects), so the
     // per-instruction charge is statically the scaled base cost.
@@ -416,7 +431,7 @@ appendInstr(Block &blk, const PredecodedInstr &ci, const CostModel &cost)
     else if (touchesMemory(ci))
         bi.flags = BlockInstr::kTouchesMem;
     classify(bi, ci);
-    if (bi.kind == FusedKind::Generic) {
+    if (bi.op == BlockOp::Generic) {
         bi.tmplIndex = static_cast<Word>(blk.tmpls.size());
         blk.tmpls.push_back(ci);
     }

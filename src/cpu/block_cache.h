@@ -5,7 +5,7 @@
  * A Block is a run of predecoded instructions starting at one virtual
  * PC and ending at the first control transfer or sensitive opcode,
  * harvested from the per-instruction replay cache once the code has
- * executed at least once.  The block executor in dispatch.cc retires
+ * executed at least once.  The block executor in block_exec.cc retires
  * the whole run with the pending-interrupt check and instruction-byte
  * revalidation hoisted to the block edges, and with the hottest
  * opcode+addressing-mode pairs fused into specialized handlers that
@@ -29,52 +29,73 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "arch/types.h"
 #include "cpu/predecode.h"
-#include "cpu/threaded.h"
 #include "memory/tlb.h"
 
 namespace vvax {
 
 /**
- * Specialized handler selector for one block instruction.  Generic
- * replays the PredecodedInstr template through the ordinary execute
- * switch; every other kind is a fused opcode+addressing-mode pair
- * handled inline by the block executor.
+ * The block executor's handlers, in handler-table order
+ * (docs/ARCHITECTURE.md §5a).  Generic replays the PredecodedInstr
+ * template through the ordinary decode/execute machinery; every other
+ * op is an opcode+addressing-mode pair the executor retires inline,
+ * with its operand shape fully resolved at build time (memory operand
+ * form, condition-branch opcode, SOB/BLB sense).  The builder writes
+ * the op into BlockInstr, and the executor's label table is generated
+ * from this same list, so the two can never disagree.
  */
-enum class FusedKind : Byte {
-    Generic = 0,
-    // MOVL forms.  Mov*R: a = dst register.  Mov*M: memory operand is
-    // the destination (base register b, displacement imm).
-    MovRR, //!< MOVL Rs, Rd          (a = src, b = dst)
-    MovIR, //!< MOVL #imm, Rd        (imm = value, b = dst)
-    MovMR, //!< MOVL mem, Rd         (a = dst, b = base, imm = disp)
-    MovRM, //!< MOVL Rs, mem         (a = src, b = base, imm = disp)
-    MovIM, //!< MOVL #imm, mem       (imm2 = value, b = base, imm = disp)
-    // Register-only unary/compare forms (a or b = the register).
-    ClrR,  //!< CLRL Rd
-    TstR,  //!< TSTL Rs
-    IncR,  //!< INCL Rd
-    DecR,  //!< DECL Rd
-    // Dyadic L-size ALU, register destination (b = dst).
-    AddRR, AddIR, //!< ADDL2 {Rs,#imm}, Rd
-    SubRR, SubIR, //!< SUBL2 {Rs,#imm}, Rd
-    BisRR, BisIR, //!< BISL2 {Rs,#imm}, Rd
-    BicRR, BicIR, //!< BICL2 {Rs,#imm}, Rd
-    XorRR, XorIR, //!< XORL2 {Rs,#imm}, Rd
-    CmpRR, //!< CMPL Rs, Rs2         (a, b = registers)
-    CmpIR, //!< CMPL #imm, Rs        (imm, b = register)
-    CmpRI, //!< CMPL Rs, #imm        (a = register, imm)
-    // Control transfers (always block-final).
-    Bra,    //!< BRB/BRW             (imm = target)
-    CondBr, //!< Bxx                 (a = opcode byte, imm = target)
-    Sob,    //!< SOBGEQ/SOBGTR Rn    (a = reg, b = 1 for GTR, imm = target)
-    BlbR,   //!< BLBS/BLBC Rn        (a = reg, b = 1 for BLBS, imm = target)
+#define VVAX_BLOCK_OPS(X)                                             \
+    X(Generic)                                                        \
+    X(MovRR)    /* MOVL Rs, Rd          (a = src, b = dst) */         \
+    X(MovIR)    /* MOVL #imm, Rd        (imm = value, b = dst) */     \
+    X(MovMRreg) /* MOVL disp(Rb), Rd    (a = dst, b, imm = disp) */   \
+    X(MovMRabs) /* MOVL @#abs, Rd       (a = dst, imm = address) */   \
+    X(MovRMreg) /* MOVL Rs, disp(Rb)    (a = src, b, imm = disp) */   \
+    X(MovRMabs) /* MOVL Rs, @#abs       (a = src, imm = address) */   \
+    X(MovIMreg) /* MOVL #v, disp(Rb)    (imm2 = v, b, imm = disp) */  \
+    X(MovIMabs) /* MOVL #v, @#abs       (imm2 = v, imm = address) */  \
+    X(ClrR)     /* CLRL Rd              (b = dst) */                  \
+    X(TstR)     /* TSTL Rs              (a = src) */                  \
+    X(IncR)     /* INCL Rd              (b = dst) */                  \
+    X(DecR)     /* DECL Rd              (b = dst) */                  \
+    X(AddRR) X(AddIR) /* ADDL2 {Rs,#imm}, Rd (a or imm, b = dst) */   \
+    X(SubRR) X(SubIR) /* SUBL2 */                                     \
+    X(BisRR) X(BisIR) /* BISL2 */                                     \
+    X(BicRR) X(BicIR) /* BICL2 */                                     \
+    X(XorRR) X(XorIR) /* XORL2 */                                     \
+    X(CmpRR)    /* CMPL Rs, Rs2         (a, b) */                     \
+    X(CmpIR)    /* CMPL #imm, Rs        (imm, b) */                   \
+    X(CmpRI)    /* CMPL Rs, #imm        (a, imm) */                   \
+    /* Control transfers (always block-final; imm = target). */       \
+    X(Bra)                                                            \
+    X(Bneq) X(Beql) X(Bgtr) X(Bleq) X(Bgeq) X(Blss)                   \
+    X(Bgtru) X(Blequ) X(Bvc) X(Bvs) X(Bcc) X(Bcs)                     \
+    X(SobGeq) X(SobGtr) /* SOBxxx Rn  (a = reg) */                    \
+    X(Blbc) X(Blbs)     /* BLBx Rn    (a = reg) */
+
+enum class BlockOp : Byte {
+#define VVAX_BLOCK_OP_ENUM(name) name,
+    VVAX_BLOCK_OPS(VVAX_BLOCK_OP_ENUM)
+#undef VVAX_BLOCK_OP_ENUM
 };
+
+/** Why a block run ended early (per-block observability for
+ *  VVAX_DUMP_HOT_BLOCKS; every bail is architecturally a plain stop
+ *  before the next instruction). */
+enum class BlockBail : Byte {
+    Fault = 0, //!< GuestFault dispatched mid-block
+    Smc,       //!< a store changed the block's own bytes
+    Interrupt, //!< deliverable interrupt / halt stopped the run
+    TlbEvict,  //!< the instruction window's TLB entry was evicted
+    Budget,    //!< instruction budget truncated the block
+    NumReasons,
+};
+
+constexpr int kNumBlockBails = static_cast<int>(BlockBail::NumReasons);
 
 /** One instruction inside a Block. */
 struct BlockInstr
@@ -94,18 +115,18 @@ struct BlockInstr
      */
     static constexpr Byte kTouchesMem = 2;
 
-    FusedKind kind = FusedKind::Generic;
-    Byte a = 0;           //!< see FusedKind comments
-    Byte b = 0;           //!< see FusedKind comments (0xFF = absolute)
+    BlockOp op = BlockOp::Generic;
+    Byte a = 0;           //!< see VVAX_BLOCK_OPS
+    Byte b = 0;           //!< see VVAX_BLOCK_OPS
     Byte len = 0;         //!< instruction length in bytes
-    Byte flags = 0;
+    Byte flags = 0;       //!< hazard flags (only Generic reads them at
+                          //!< run time; fused ops bake them in)
     Byte fetchesPre = 0;  //!< stream fetches before the data access
-    Byte fetchesPost = 0; //!< stream fetches after it
+    Byte fetchesPost = 0; //!< stream fetches after it (MovMR*)
     Word tmplIndex = 0;   //!< Generic: index into Block::tmpls
     Longword imm = 0;     //!< immediate / displacement / branch target
-    Longword imm2 = 0;    //!< MovIM immediate value
-    Cycles charge = 0;    //!< base cycle charge (fused kinds only)
-    const InstrInfo *info = nullptr;
+    Longword imm2 = 0;    //!< MovIM* immediate value
+    Cycles charge = 0;    //!< base cycle charge (fused ops only)
 };
 
 /**
@@ -135,7 +156,7 @@ struct Block
     /**
      * A trace link: a direct edge to the cached block this block's
      * final control transfer lands on (docs/ARCHITECTURE.md §5b).
-     * Following one lets runBlocks chain block-to-block without
+     * Following one lets the executor chain block-to-block without
      * re-resolving the instruction window or re-comparing bytes; the
      * crossing instead re-checks pending interrupts, the latched TLB
      * tag, and the target page's generation against the watermark the
@@ -194,22 +215,15 @@ struct Block
     std::uint32_t validGen = 0;
     Byte lastDir = kLinkTaken; //!< last exit direction (predictor)
 
-    // ----- Threaded tier (docs/ARCHITECTURE.md §5c) -------------------
-    /**
-     * Compiled threaded-code program, produced once the block crosses
-     * the trace threshold under VVAX_EXEC_TIER=threaded.  Owned by the
-     * block and discarded with it: every invalidation path funnels
-     * through Cpu::invalidateBlock -> clear(), so a program can never
-     * outlive the byte validation of the block it was compiled from.
-     */
-    std::unique_ptr<ThreadedProgram> prog;
+    // ----- Executor observability (VVAX_DUMP_HOT_BLOCKS) ---------------
+    std::uint64_t runs = 0; //!< entries (slow dispatch + link crossings)
+    std::array<std::uint64_t, kNumBlockBails> bails{};
 
     /**
      * Live, directly executable block - not a negative entry.  The
      * single source of truth for the count == 0 test shared by the
-     * slow dispatch path, trace-link crossings, and the threaded
-     * compiler, so the tiers can never disagree about which blocks
-     * are eligible to run.
+     * slow dispatch path and trace-link crossings, so the two can
+     * never disagree about which blocks are eligible to run.
      */
     bool runnable() const { return count != 0; }
     /**
@@ -236,7 +250,8 @@ struct Block
         hits = 0;
         validGen = 0;
         lastDir = kLinkTaken;
-        prog.reset();
+        runs = 0;
+        bails = {};
     }
 };
 

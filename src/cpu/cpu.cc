@@ -17,17 +17,11 @@ Cpu::Cpu(Mmu &mmu, const CostModel &cost, Stats &stats,
     mmu_.setModifyFaultMode(level == MicrocodeLevel::Modified);
     sid_ = (static_cast<Longword>(cost.model) << 24) | 0x0139;
     int_requests_.reserve(8);
-    // Escape hatch mirroring VVAX_REFERENCE_PATH: run the superblock
-    // cache without the trace tier (docs/ARCHITECTURE.md §5b).
-    if (std::getenv("VVAX_NO_TRACE_LINKS") != nullptr)
-        trace_links_enabled_ = false;
-    if (const char *t = std::getenv("VVAX_TRACE_THRESHOLD"))
-        trace_link_threshold_ = std::strtoull(t, nullptr, 10);
-    // Runtime tier selection (docs/ARCHITECTURE.md §5c).  "ref" also
-    // flips the MMU onto its reference path, making the variable a
-    // one-stop replacement for VVAX_REFERENCE_PATH; an unknown value
-    // keeps the default (threaded) so a typo can't silently change
-    // what a lockstep suite exercises without a trace in the log.
+    // Runtime tier selection (docs/ARCHITECTURE.md §5c), the one
+    // environment switch for the host execution strategy.  "ref" also
+    // flips the MMU onto its reference path; an unknown value keeps
+    // the default (threaded) so a typo can't silently change what a
+    // lockstep suite exercises without a trace in the log.
     if (const char *t = std::getenv("VVAX_EXEC_TIER")) {
         const std::string_view v(t);
         if (v == "ref" || v == "reference")
@@ -64,11 +58,6 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
 
     os << "hot superblocks (" << live.size() << " of " << slots.size()
        << " slots, by slow-path dispatches):\n";
-    if (stats_.threadedCompiles != 0) {
-        os << "  threaded programs: " << stats_.threadedCompiles
-           << " compiled, " << stats_.threadedDiscards
-           << " discarded, " << stats_.threadedBails << " bails\n";
-    }
     const auto flags = os.flags();
     const auto fill = os.fill();
     os << std::hex << std::setfill('0');
@@ -79,33 +68,24 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
             os << " negative(step=" << static_cast<int>(b->stepInstrs)
                << ")";
         } else {
-            os << " instrs=" << static_cast<int>(b->count);
+            os << " instrs=" << static_cast<int>(b->count)
+               << " runs=" << b->runs;
         }
         os << " bytes=" << b->byteLen << " hits=" << b->hits
            << " in=" << b->inbound.size() << " last="
            << (b->lastDir == Block::kLinkTaken ? "taken" : "fall");
-        if (b->prog != nullptr) {
-            const ThreadedProgram &p = *b->prog;
-            os << " steps=" << p.steps.size() << " runs=" << p.runs;
-            std::uint64_t bailed = 0;
-            for (const std::uint64_t c : p.bails)
-                bailed += c;
-            if (bailed != 0) {
-                static constexpr const char
-                    *bail_names[kNumThreadedBails] = {
-                        "fault", "smc", "int", "tlb", "budget"};
-                os << " bails[";
-                bool first = true;
-                for (int r = 0; r < kNumThreadedBails; ++r) {
-                    if (p.bails[static_cast<std::size_t>(r)] == 0)
-                        continue;
-                    os << (first ? "" : " ") << bail_names[r] << "="
-                       << p.bails[static_cast<std::size_t>(r)];
-                    first = false;
-                }
-                os << "]";
-            }
+        static constexpr const char *bail_names[kNumBlockBails] = {
+            "fault", "smc", "int", "tlb", "budget"};
+        bool bailed = false;
+        for (int r = 0; r < kNumBlockBails; ++r) {
+            const std::uint64_t c = b->bails[static_cast<std::size_t>(r)];
+            if (c == 0)
+                continue;
+            os << (bailed ? " " : " bails[") << bail_names[r] << "=" << c;
+            bailed = true;
         }
+        if (bailed)
+            os << "]";
         static constexpr const char *slot_names[2] = {"taken", "fall"};
         for (int s = 0; s < 2; ++s) {
             const Block::Link &l = b->links[s];

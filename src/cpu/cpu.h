@@ -57,11 +57,11 @@ enum class RunState : Byte { Running, Waiting, Halted };
  *    path).
  *  - Fast: pointer-carrying TLB + predecoded-instruction cache,
  *    per-instruction dispatch only.
- *  - Blocks: superblock translation cache with trace links, executed
- *    through the fused-handler switch in executeBlock.
- *  - Threaded: blocks past the trace threshold additionally compile
- *    into threaded-code programs run by the computed-goto driver in
- *    threaded.cc (the default).
+ *  - Blocks: superblock translation cache, every block retired by the
+ *    block executor (block_exec.cc) and entered through the slow
+ *    dispatch - trace links off.
+ *  - Threaded: the same executor, chaining hot blocks through trace
+ *    links (the default).
  *
  * Selected at construction by VVAX_EXEC_TIER=ref|fast|blocks|threaded
  * or at run time via Cpu::setExecTier.  Purely a host-side knob: every
@@ -244,22 +244,14 @@ class Cpu
     using TraceFn = std::function<void(VirtAddr, Word)>;
     void setTrace(TraceFn fn) { trace_ = std::move(fn); }
 
-    // ----- Trace tier (docs/ARCHITECTURE.md §5b) ------------------------
-    /**
-     * Enable/disable direct block-to-block links.  Defaults to on;
-     * the VVAX_NO_TRACE_LINKS environment variable (mirroring
-     * VVAX_REFERENCE_PATH) turns them off at construction, and the
-     * bench harness A/B pair toggles them per run.  Disabling does
-     * not sever existing links - they simply stop being followed or
-     * formed, so every dispatch goes through the slow path again.
-     */
-    void setTraceLinksEnabled(bool on) { trace_links_enabled_ = on; }
-    bool traceLinksEnabled() const { return trace_links_enabled_; }
+    // ----- Execution tiers (docs/ARCHITECTURE.md §5) --------------------
     /**
      * Select the host execution tier (see ExecTier).  Selecting
      * Reference also enables the MMU's reference path so the whole
      * fast-path stack is bypassed; selecting any other tier leaves
-     * the MMU setting alone (tests drive it independently).
+     * the MMU setting alone (tests drive it independently).  Leaving
+     * Threaded does not sever existing trace links - they simply stop
+     * being followed or formed.
      */
     void
     setExecTier(ExecTier tier)
@@ -270,14 +262,7 @@ class Cpu
     }
     ExecTier execTier() const { return exec_tier_; }
     /** Slow-path dispatches of a source block before it may link. */
-    void setTraceLinkThreshold(std::uint64_t n)
-    {
-        trace_link_threshold_ = n;
-    }
-    std::uint64_t traceLinkThreshold() const
-    {
-        return trace_link_threshold_;
-    }
+    static constexpr std::uint64_t kTraceLinkThreshold = 8;
     /**
      * Dump the @p top_n hottest cached superblocks (by slow-path
      * dispatch count) with their outbound link edges - the
@@ -351,6 +336,23 @@ class Cpu
      */
     void replayTemplate(const PredecodedInstr &ci, VirtAddr pc,
                         bool mapped, Decoded &d);
+    /**
+     * Count @p n (>= 1) instruction-stream fetches from @p pc's page
+     * that follow a data access of the same instruction, for a mapped
+     * window.  The access may have evicted the code page's entry from
+     * the direct-mapped TLB; the reference interpreter's next fetch
+     * then misses and refills it, so take that one fetch through the
+     * MMU (may throw GuestFault) and count the rest as hits.
+     */
+    void
+    countFetchesAfterAccess(VirtAddr pc, int n)
+    {
+        if (mmu_.tlbLookup(pc) == nullptr) {
+            mmu_.readV8(pc, psl_.currentMode());
+            --n;
+        }
+        stats_.tlbHits += static_cast<std::uint64_t>(n);
+    }
     /** Sized operand read through the MMU (may throw GuestFault). */
     Longword fetchOperandValue(VirtAddr addr, OpSize size,
                                AccessMode mode);
@@ -375,8 +377,9 @@ class Cpu
             mmu_.translate(last, AccessType::Write, mode);
     }
 
-    // dispatch.cc / block_cache.cc: superblock translation cache
-    // (docs/ARCHITECTURE.md §5a).  Never used on the reference path.
+    // dispatch.cc / block_cache.cc / block_exec.cc: superblock
+    // translation cache (docs/ARCHITECTURE.md §5a).  Never used on the
+    // reference path.
     /** Decode+execute+account one instruction (the body of step()). */
     void stepInstruction();
     /**
@@ -405,24 +408,17 @@ class Cpu
      */
     enum class BlockExit : Byte { Bailed, Taken, Fall };
     /**
-     * Retire up to (limit - instructions) instructions of @p blk.
-     * @p win_entry is the TLB entry the window resolved through
-     * (nullptr when mapping is off); its tag is re-checked after
-     * memory-touching instructions - see BlockInstr::kTouchesMem.
+     * The block executor (block_exec.cc): retire up to
+     * (limit - instructions) instructions of @p blk and, on the
+     * Threaded tier, of every block reachable through validating
+     * trace links.  @p win_entry is the TLB entry the window resolved
+     * through (nullptr when mapping is off); its tag is re-checked
+     * after memory-touching instructions - see
+     * BlockInstr::kTouchesMem.  @p blk is updated to the last block
+     * entered, which the returned exit describes.
      */
-    BlockExit executeBlock(Block &blk, Tlb::Entry *win_entry,
+    BlockExit executeBlock(Block *&blk, Tlb::Entry *win_entry,
                            std::uint64_t limit);
-    /**
-     * Threaded-code driver (threaded.cc, docs/ARCHITECTURE.md §5c):
-     * compile @p blk on first entry, then retire it - and any blocks
-     * reachable through validating trace links - via computed-goto
-     * handler chains, with accounting and hazard checks bit-identical
-     * to executeBlock.  @p blk is updated to the last block entered so
-     * the caller's link-formation bookkeeping stays accurate.  Falls
-     * back to executeBlock on compilers without labels-as-values.
-     */
-    BlockExit executeThreaded(Block *&blk, Tlb::Entry *win_entry,
-                              std::uint64_t limit);
     /**
      * Follow one of @p src's links if it validates against the
      * current PC, mapping regime, latched TLB tag and the target's
@@ -510,6 +506,19 @@ class Cpu
     /** Push/pop on the working stack pointer in @p d (pre-commit). */
     void pushLong(Decoded &d, Longword value);
     Longword popLong(Decoded &d);
+    /** Signed overflow of sum = a + b (execute switch and block
+     *  executor alike: both must set V identically). */
+    static constexpr bool
+    addOverflows(Longword a, Longword b, Longword sum)
+    {
+        return ((~(a ^ b)) & (a ^ sum) & 0x80000000u) != 0;
+    }
+    /** Signed overflow of dif = min - sub. */
+    static constexpr bool
+    subOverflows(Longword min, Longword sub, Longword dif)
+    {
+        return (((min ^ sub)) & (min ^ dif) & 0x80000000u) != 0;
+    }
     // Header-inline: the block executor calls this for every MOV-class
     // and logical fused instruction, so an out-of-line call here is
     // measurable at trace-tier throughput.
@@ -657,12 +666,9 @@ class Cpu
     /** Superblock translation cache (block_cache.cc, dispatch.cc). */
     BlockCache bcache_;
 
-    // Trace tier configuration (docs/ARCHITECTURE.md §5b): both are
-    // host-side knobs and never observable architecturally.
-    bool trace_links_enabled_ = true;
-    std::uint64_t trace_link_threshold_ = 8;
     // Execution tier (docs/ARCHITECTURE.md §5c): host-side strategy
-    // selection, highest tier by default.
+    // selection, never observable architecturally; highest tier by
+    // default.
     ExecTier exec_tier_ = ExecTier::Threaded;
 
     RunState run_state_ = RunState::Running;

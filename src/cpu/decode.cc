@@ -704,7 +704,11 @@ Cpu::fetchOperandValue(VirtAddr addr, OpSize size, AccessMode mode)
  * Within an operand every stream fetch precedes every data access, so
  * charging the operand's fetch hits up front before its (possibly
  * faulting) memory work preserves counter identity even for
- * instructions that fault mid-decode.  The byte validation against
+ * instructions that fault mid-decode.  Once an operand has reached
+ * memory, the next operand's fetches go through
+ * countFetchesAfterAccess: the access may have evicted the code
+ * page's TLB entry, and the reference then misses on the next
+ * specifier fetch.  The byte validation against
  * the live page is the caller's job (tryReplay for the
  * per-instruction cache, the block entry/generation checks for the
  * superblock executor).
@@ -718,6 +722,7 @@ Cpu::replayTemplate(const PredecodedInstr &ci, VirtAddr pc, bool mapped,
         stats_.tlbHits += ci.opcodeFetches;
     d.opcode = ci.opcode;
     d.info = ci.info;
+    bool accessed = false; // an earlier operand addressed memory
 
     for (int i = 0; i < ci.info->nOperands; ++i) {
         const PredecodedOp &t = ci.ops[i];
@@ -728,8 +733,12 @@ Cpu::replayTemplate(const PredecodedInstr &ci, VirtAddr pc, bool mapped,
         op.isLiteral = false;
         op.access = ci.info->operands[i].access;
         op.size = ci.info->operands[i].size;
-        if (mapped)
-            stats_.tlbHits += t.fetches;
+        if (mapped) {
+            if (accessed)
+                countFetchesAfterAccess(pc, t.fetches);
+            else
+                stats_.tlbHits += t.fetches;
+        }
 
         const Longword sb = sizeBytes(op.size);
         VirtAddr addr = 0;
@@ -796,6 +805,7 @@ Cpu::replayTemplate(const PredecodedInstr &ci, VirtAddr pc, bool mapped,
         if (t.indexReg != 0xFF)
             addr += d.regsAfter[t.indexReg] * sb;
         op.addr = addr;
+        accessed = true;
 
         switch (op.access) {
           case OpAccess::Read:

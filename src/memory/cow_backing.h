@@ -15,8 +15,8 @@
  *
  * The one invariant both implementations keep is pointer stability:
  * data() never moves for the lifetime of the view, because TLB
- * entries, superblock records and threaded-tier programs all cache
- * raw host pointers into it (memory/physical_memory.h).
+ * entries and superblock records cache raw host pointers into it
+ * (memory/physical_memory.h).
  */
 
 #ifndef VVAX_MEMORY_COW_BACKING_H

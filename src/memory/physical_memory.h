@@ -96,8 +96,8 @@ class PhysicalMemory
      * golden image) never remaps, so the pointer remains valid for
      * the life of the machine: under kernel CoW the *mapping address*
      * is fixed and the kernel swaps physical pages beneath it on
-     * first write.  TLB entries, superblock records and threaded-tier
-     * programs all cache these pointers.
+     * first write.  TLB entries and superblock records cache these
+     * pointers.
      */
     Byte *
     pageBase(PhysAddr pa)

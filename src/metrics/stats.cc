@@ -80,18 +80,14 @@ Stats::operator+=(const Stats &other)
     diskRetries += other.diskRetries;
     vmRestarts += other.vmRestarts;
     blockBuilds += other.blockBuilds;
-    blockExecutions += other.blockExecutions;
-    blockInstructions += other.blockInstructions;
     blockInvalidations += other.blockInvalidations;
     traceLinksFormed += other.traceLinksFormed;
     traceLinksTaken += other.traceLinksTaken;
     traceLinksSevered += other.traceLinksSevered;
     traceLinkMispredicts += other.traceLinkMispredicts;
-    threadedCompiles += other.threadedCompiles;
     threadedExecutions += other.threadedExecutions;
     threadedInstructions += other.threadedInstructions;
     threadedBails += other.threadedBails;
-    threadedDiscards += other.threadedDiscards;
     cowForkedRam += other.cowForkedRam;
     cowKernelBacked += other.cowKernelBacked;
     cowPagesTouched += other.cowPagesTouched;
@@ -150,22 +146,16 @@ Stats::print(std::ostream &os) const
     os << "tlb maintenance: " << tlbFlushAll << " tbia, "
        << tlbFlushProcess << " tbia-process, " << tlbFlushSingle
        << " tbis, " << tlbContextSwitches << " context switches\n";
-    if (blockBuilds != 0 || blockExecutions != 0) {
+    if (blockBuilds != 0 || threadedExecutions != 0) {
         os << "superblocks: " << blockBuilds << " built, "
-           << blockExecutions << " executed, " << blockInstructions
-           << " instructions, " << blockInvalidations
-           << " invalidated\n";
+           << threadedExecutions << " executed, " << threadedInstructions
+           << " instructions, " << threadedBails << " bails, "
+           << blockInvalidations << " invalidated\n";
     }
     if (traceLinksFormed != 0 || traceLinksTaken != 0) {
         os << "trace links: " << traceLinksFormed << " formed, "
            << traceLinksTaken << " taken, " << traceLinksSevered
            << " severed, " << traceLinkMispredicts << " mispredicted\n";
-    }
-    if (threadedCompiles != 0 || threadedExecutions != 0) {
-        os << "threaded tier: " << threadedCompiles << " compiled, "
-           << threadedExecutions << " executed, "
-           << threadedInstructions << " instructions, " << threadedBails
-           << " bails, " << threadedDiscards << " discarded\n";
     }
     if (cowForkedRam != 0) {
         os << "cow fork: " << cowPagesTouched << " pages touched, "

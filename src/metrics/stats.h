@@ -93,8 +93,6 @@ struct Stats
     // blocks) legitimately reports zeros.  operator== excludes them
     // for exactly that reason.
     std::uint64_t blockBuilds = 0;        //!< superblocks translated
-    std::uint64_t blockExecutions = 0;    //!< superblock entries run
-    std::uint64_t blockInstructions = 0;  //!< instructions retired in blocks
     std::uint64_t blockInvalidations = 0; //!< stale blocks dropped
 
     // Trace tier observability (docs/ARCHITECTURE.md §5b).  Host-side
@@ -106,14 +104,13 @@ struct Stats
      *  probe order's prediction).  Host-side. */
     std::uint64_t traceLinkMispredicts = 0;
 
-    // Threaded-code tier observability (docs/ARCHITECTURE.md §5c).
-    // Host-side like the block counters above: excluded from
-    // operator==.
-    std::uint64_t threadedCompiles = 0;     //!< blocks compiled to programs
-    std::uint64_t threadedExecutions = 0;   //!< program entries run
-    std::uint64_t threadedInstructions = 0; //!< instructions retired threaded
-    std::uint64_t threadedBails = 0;        //!< abnormal program exits
-    std::uint64_t threadedDiscards = 0;     //!< programs dropped on invalidation
+    // Block executor observability (docs/ARCHITECTURE.md §5c): every
+    // block entry and every instruction it retires, on either tier
+    // that runs blocks.  Host-side like the block counters above:
+    // excluded from operator==.
+    std::uint64_t threadedExecutions = 0;   //!< block entries run
+    std::uint64_t threadedInstructions = 0; //!< instructions retired in blocks
+    std::uint64_t threadedBails = 0;        //!< abnormal block exits
 
     // Golden-image CoW forking gauges (docs/ARCHITECTURE.md §8),
     // published by PhysicalMemory::publishCowStats / the fleet at

@@ -11,7 +11,7 @@
  * kernel copy-on-writes pages beneath the fixed mapping, so fork cost
  * and per-fork resident memory are proportional to the pages the fork
  * actually writes, while `pageBase()` pointers stay stable — the
- * invariant the TLB, block cache and threaded tier rely on.  The
+ * invariant the TLB and block cache rely on.  The
  * fork's disk is a CoW view of the sealed disk the same way.
  *
  * Sealing whole-machine RAM (not just the VM's slice) is safe because

@@ -79,22 +79,23 @@ TEST_P(ProtectionMatrix, MatchesReferenceTable)
     EXPECT_EQ(leastPrivilegedAllowed(c.prot, AccessType::Read), c.read);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCodes, ProtectionMatrix,
-    ::testing::Values(
-        ProtCase{Protection::NA, -1, -1},
-        ProtCase{Protection::Reserved, -1, -1},
-        ProtCase{Protection::KW, 0, 0}, ProtCase{Protection::KR, -1, 0},
-        ProtCase{Protection::UW, 3, 3}, ProtCase{Protection::EW, 1, 1},
-        ProtCase{Protection::ERKW, 0, 1},
-        ProtCase{Protection::ER, -1, 1}, ProtCase{Protection::SW, 2, 2},
-        ProtCase{Protection::SREW, 1, 2},
-        ProtCase{Protection::SRKW, 0, 2},
-        ProtCase{Protection::SR, -1, 2},
-        ProtCase{Protection::URSW, 2, 3},
-        ProtCase{Protection::UREW, 1, 3},
-        ProtCase{Protection::URKW, 0, 3},
-        ProtCase{Protection::UR, -1, 3}));
+// The cases live in static storage so the three padding bytes after
+// `prot` are zero: gtest names each case by its raw bytes, and stack
+// temporaries would leave whatever the stack held there, giving the
+// cases different names from one run to the next.
+constexpr ProtCase kProtCases[] = {
+    {Protection::NA, -1, -1},  {Protection::Reserved, -1, -1},
+    {Protection::KW, 0, 0},    {Protection::KR, -1, 0},
+    {Protection::UW, 3, 3},    {Protection::EW, 1, 1},
+    {Protection::ERKW, 0, 1},  {Protection::ER, -1, 1},
+    {Protection::SW, 2, 2},    {Protection::SREW, 1, 2},
+    {Protection::SRKW, 0, 2},  {Protection::SR, -1, 2},
+    {Protection::URSW, 2, 3},  {Protection::UREW, 1, 3},
+    {Protection::URKW, 0, 3},  {Protection::UR, -1, 3},
+};
+
+INSTANTIATE_TEST_SUITE_P(AllCodes, ProtectionMatrix,
+                         ::testing::ValuesIn(kProtCases));
 
 TEST(Psl, FieldAccessors)
 {
