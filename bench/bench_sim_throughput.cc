@@ -721,8 +721,8 @@ makeCrashImage()
  * Microreboot storm: two permanently crashing forks burn their whole
  * restart budget every iteration, so items/sec is microreboots per
  * second.  mean_pages_recopied is the measured recovery cost (the
- * fresh fork's CoW floor); full_restore_pages is what the PR-5
- * snapshot-restore path would copy instead - the regression gate
+ * fresh fork's CoW floor); full_restore_pages is what restoring a
+ * whole-memory snapshot would copy instead - the regression gate
  * asserts the microreboot stays well under it, and that the budget
  * arithmetic holds exactly (microreboots == expected_microreboots).
  */

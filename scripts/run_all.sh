@@ -6,11 +6,10 @@ cmake -B build
 cmake --build build -j "$(nproc)"
 # The whole suite once per host execution tier (VVAX_EXEC_TIER,
 # docs/ARCHITECTURE.md §5c): the lockstep digests must hold whether
-# hot code retires through the fast path alone, or through the block
-# executor with trace links off (blocks) or on (threaded).  The
-# reference tier needs no pass of its own - every equivalence test
-# drives it internally as the baseline half of its digest comparison.
-for tier in fast blocks threaded; do
+# hot code retires through the reference interpreter, the fast path
+# alone, or the block executor with trace links off (blocks) or on
+# (threaded).
+for tier in ref fast blocks threaded; do
     echo "=== ctest: VVAX_EXEC_TIER=$tier"
     env VVAX_EXEC_TIER="$tier" \
         ctest --test-dir build >"test_output_$tier.txt" 2>&1 ||

@@ -246,19 +246,17 @@ class Cpu
 
     // ----- Execution tiers (docs/ARCHITECTURE.md §5) --------------------
     /**
-     * Select the host execution tier (see ExecTier).  Selecting
-     * Reference also enables the MMU's reference path so the whole
-     * fast-path stack is bypassed; selecting any other tier leaves
-     * the MMU setting alone (tests drive it independently).  Leaving
-     * Threaded does not sever existing trace links - they simply stop
-     * being followed or formed.
+     * Select the host execution tier (see ExecTier).  The tier is the
+     * one switch for the MMU's reference path: Reference turns it on,
+     * so the whole fast-path stack is bypassed, and every other tier
+     * turns it off.  Leaving Threaded does not sever existing trace
+     * links - they simply stop being followed or formed.
      */
     void
     setExecTier(ExecTier tier)
     {
         exec_tier_ = tier;
-        if (tier == ExecTier::Reference)
-            mmu_.setReferencePath(true);
+        mmu_.setReferencePath(tier == ExecTier::Reference);
     }
     ExecTier execTier() const { return exec_tier_; }
     /** Slow-path dispatches of a source block before it may link. */

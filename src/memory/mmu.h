@@ -22,8 +22,9 @@
  * full path would complete on a TLB hit, performs the identical
  * counter updates, and falls back to the full path for everything
  * else, so every architectural counter stays bit-identical.
- * setReferencePath(true) - which VVAX_EXEC_TIER=ref selects through
- * Cpu::setExecTier - disables it for lockstep equivalence testing.
+ * The reference path - on exactly while the CPU runs the reference
+ * tier (Cpu::setExecTier, or VVAX_EXEC_TIER=ref) - disables it for
+ * lockstep equivalence testing.
  */
 
 #ifndef VVAX_MEMORY_MMU_H
@@ -78,12 +79,11 @@ class Mmu
     bool modifyFaultMode() const { return modify_fault_mode_; }
 
     /**
-     * Disable (true) or re-enable (false) the host fast path.  The
-     * reference path keeps today's full translate()-per-byte walk for
-     * lockstep equivalence testing; both paths must produce
-     * bit-identical architectural state and counters.
+     * true when the host fast path is off: the reference path keeps
+     * the full translate()-per-byte walk for lockstep equivalence
+     * testing; both paths must produce bit-identical architectural
+     * state and counters.  Cpu::setExecTier is the one switch.
      */
-    void setReferencePath(bool on) { fast_enabled_ = !on; }
     bool referencePath() const { return !fast_enabled_; }
 
     /**
@@ -432,6 +432,9 @@ class Mmu
     PhysicalMemory &memory() { return memory_; }
 
   private:
+    friend class Cpu; // setExecTier owns the reference-path switch
+    void setReferencePath(bool on) { fast_enabled_ = !on; }
+
     /**
      * Walk the page tables for @p va.  Shared machinery beneath both
      * translate() and probe().  Never faults; returns a status.

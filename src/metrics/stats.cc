@@ -78,7 +78,6 @@ Stats::operator+=(const Stats &other)
         faultsInjected[i] += other.faultsInjected[i];
     machineChecksDelivered += other.machineChecksDelivered;
     diskRetries += other.diskRetries;
-    vmRestarts += other.vmRestarts;
     blockBuilds += other.blockBuilds;
     blockInvalidations += other.blockInvalidations;
     traceLinksFormed += other.traceLinksFormed;
@@ -124,7 +123,6 @@ Stats::operator==(const Stats &other) const
            faultsInjected == other.faultsInjected &&
            machineChecksDelivered == other.machineChecksDelivered &&
            diskRetries == other.diskRetries &&
-           vmRestarts == other.vmRestarts &&
            vmTrapOpcodes == other.vmTrapOpcodes;
 }
 
@@ -176,10 +174,10 @@ Stats::print(std::ostream &os) const
     for (auto c : faultsInjected)
         total_faults += c;
     if (total_faults != 0 || machineChecksDelivered != 0 ||
-        diskRetries != 0 || vmRestarts != 0) {
+        diskRetries != 0) {
         os << "faults: " << total_faults << " injected, "
            << machineChecksDelivered << " machine checks, " << diskRetries
-           << " disk retries, " << vmRestarts << " vm restarts\n";
+           << " disk retries\n";
     }
     bool any_trap = false;
     for (auto c : vmTrapOpcodes)

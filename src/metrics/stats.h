@@ -84,7 +84,6 @@ struct Stats
     std::array<std::uint64_t, kNumFaultClasses> faultsInjected{};
     std::uint64_t machineChecksDelivered = 0; //!< reflected into a VM
     std::uint64_t diskRetries = 0; //!< disk op re-issued after a failure
-    std::uint64_t vmRestarts = 0;  //!< supervisor snapshot-restores
 
     // Superblock translation cache observability
     // (docs/ARCHITECTURE.md §5a).  Host-side counters: they describe

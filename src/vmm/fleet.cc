@@ -60,10 +60,6 @@ HypervisorFleet::addVm(const VmConfig &config)
     member->microrebootsLeft = config_.fleetSupervision.restartBudget;
     member->nextBackoff = std::max(1, config_.fleetSupervision.backoffSlices);
     member->hv->createVm(vm_config);
-    if (config_.supervise) {
-        member->supervisor = std::make_unique<VmSupervisor>(
-            *member->hv, config_.supervisor);
-    }
     members_.push_back(std::move(member));
     return index;
 }
@@ -76,14 +72,12 @@ HypervisorFleet::addForkedMember(const GoldenImage &image)
     auto member = std::make_unique<Member>();
     member->index = index;
     member->image = &image;
-    member->forkRestartsLeft = config_.forkRestartBudget;
     member->microrebootsLeft = config_.fleetSupervision.restartBudget;
     member->nextBackoff = std::max(1, config_.fleetSupervision.backoffSlices);
     // The fork's fault identity is its lineage - the image's base
     // lineage plus its sibling ordinal among this fleet's forks of
     // that image - so the identity survives microreboots and does not
-    // depend on what else joined the fleet first.  No VmSupervisor:
-    // the golden image is the baseline, crash recovery re-forks.
+    // depend on what else joined the fleet first.
     int sibling = 0;
     bool seen = false;
     for (auto &entry : imageForks_) {
@@ -141,10 +135,12 @@ HypervisorFleet::startVm(int i, VirtAddr start_pc)
 {
     Member &m = *members_[i];
     m.hv->startVm(vm(i), start_pc);
-    if (m.supervisor) {
-        // The baseline snapshot is taken now, when the VM is in a
-        // state worth restoring to.
-        m.supervisor->watch(vm(i));
+    if (config_.fleetSupervision.enabled && m.image == nullptr) {
+        // The state worth rebooting into is this one, before the
+        // guest has run: every microreboot forks from it.
+        m.ownImage =
+            std::make_unique<GoldenImage>(GoldenImage::seal(*m.hv, vm(i)));
+        m.image = m.ownImage.get();
     }
 }
 
@@ -197,12 +193,6 @@ HypervisorFleet::runSlice(Member &m)
     m.hv->run(slice);
     const std::uint64_t used = m.machine->stats().instructions - before;
     m.budgetLeft -= std::min(used, m.budgetLeft);
-    if (m.supervisor) {
-        // Supervisor work (snapshot refresh, fault-halt restart)
-        // happens at the slice boundary on the thread that owns the
-        // member this round - the only thread touching its state.
-        m.supervisor->poll();
-    }
     if (config_.fleetSupervision.enabled && !m.killed) {
         // Crash-only supervision path (§6d): health classification
         // and microreboot recovery, on the worker that owns the
@@ -212,20 +202,8 @@ HypervisorFleet::runSlice(Member &m)
             m.done = true;
         return;
     }
-    if (m.budgetLeft == 0 || !memberLive(m)) {
-        // Forked members recover by re-forking from the golden image
-        // (same restartable-reason policy as the supervisor).  The
-        // decision runs on the worker that owns the member this
-        // round, keyed only on the member's own state, so it is
-        // identical for every worker count.
-        if (m.budgetLeft > 0 && m.image != nullptr && !m.killed &&
-            m.forkRestartsLeft > 0 &&
-            VmSupervisor::restartable(m.hv->vm(0).haltReason)) {
-            refork(m);
-            return;
-        }
+    if (m.budgetLeft == 0 || !memberLive(m))
         m.done = true;
-    }
 }
 
 void
@@ -246,31 +224,6 @@ HypervisorFleet::clearRetiredGauges(Stats &stats)
     stats.supQuarantines = 0;
     stats.supPagesRecopied = 0;
     stats.supTimeInDegraded = 0;
-}
-
-void
-HypervisorFleet::refork(Member &m)
-{
-    // The dying incarnation's counters must survive into the fleet
-    // aggregates; retire them before the machine goes away.
-    {
-        Stats dying = m.machine->stats();
-        clearRetiredGauges(dying);
-        std::lock_guard<std::mutex> lock(mergeMutex_);
-        retiredStats_ += dying;
-        retiredVmStats_ += m.hv->totalStats();
-        forkRestarts_++;
-    }
-    m.forkRestartsLeft--;
-    GoldenFork fork = m.image->fork(m.faultVmId);
-    m.machine = std::move(fork.machine);
-    m.hv = std::move(fork.hv);
-    // The member's armed plan survives the re-fork (its firing
-    // budgets carry over - the plan describes the member's world, not
-    // one incarnation of it).  This also *clears* any environment
-    // plan the fresh machine auto-installed: the first incarnation
-    // owned those budgets, a re-fork must not re-arm them from zero.
-    m.machine->setFaultPlan(m.plan.get());
 }
 
 void
@@ -349,13 +302,12 @@ HypervisorFleet::superviseSlice(Member &m, std::uint64_t retired)
 
     // Halted.  A clean exit (HaltInstruction) or a non-restartable
     // reason ends the member; a restartable crash arms a microreboot
-    // - or quarantines the slot once its error budget is spent (or it
-    // has no golden image to reboot from).
-    if (!VmSupervisor::restartable(m.hv->vm(0).haltReason)) {
+    // - or quarantines the slot once its error budget is spent.
+    if (!restartable(m.hv->vm(0).haltReason)) {
         m.done = true;
         return;
     }
-    if (m.image == nullptr || m.microrebootsLeft <= 0) {
+    if (m.microrebootsLeft <= 0) {
         transition(m, MemberHealth::Quarantined);
         m.done = true;
         std::lock_guard<std::mutex> lock(mergeMutex_);
@@ -407,9 +359,10 @@ HypervisorFleet::microreboot(Member &m)
     m.machine = std::move(fork.machine);
     m.hv = std::move(fork.hv);
     // Re-arming also clears any environment plan the fresh machine
-    // auto-installed.  Unlike legacy refork(), consumed firing
-    // budgets do NOT carry over: the new incarnation replays the same
-    // injection schedule from ordinal zero.
+    // auto-installed: only a plan armed through setFaultPlan follows
+    // the slot.  Consumed firing budgets do not carry over - the new
+    // incarnation replays the same injection schedule from ordinal
+    // zero.
     m.machine->setFaultPlan(m.plan.get());
     if (host_fault)
         m.machine->stats().faultsInjected[static_cast<int>(
@@ -473,6 +426,10 @@ HypervisorFleet::run(std::uint64_t max_instructions_per_vm)
     for (auto &m : members_) {
         m->budgetLeft = max_instructions_per_vm;
         m->done = !memberLive(*m);
+        if (config_.fleetSupervision.enabled && !m->done &&
+            m->image == nullptr)
+            throw std::logic_error("HypervisorFleet: a supervised member "
+                                   "must be started through startVm");
     }
 
     const int workers = std::clamp(config_.workers, 1,
@@ -577,24 +534,6 @@ HypervisorFleet::totalVmStats() const
     for (const auto &m : members_)
         total += m->hv->totalStats();
     return total;
-}
-
-std::uint64_t
-HypervisorFleet::restarts() const
-{
-    std::uint64_t total = 0;
-    for (const auto &m : members_) {
-        if (m->supervisor)
-            total += m->supervisor->restarts();
-    }
-    return total;
-}
-
-std::uint64_t
-HypervisorFleet::forkRestarts() const
-{
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    return forkRestarts_;
 }
 
 Stats

@@ -24,28 +24,31 @@
  *  - During run(), a member belongs to exactly one worker per round;
  *    nothing else may touch its machine, hypervisor, or VM.
  *  - Between rounds (the barrier) the coordinating thread owns all
- *    members: stats merging and supervisor polls happen there or on
- *    the worker that just ran the slice, never concurrently.
+ *    members: stats merging and supervision decisions happen there or
+ *    on the worker that just ran the slice, never concurrently.
  *  - Cross-thread input goes through Hypervisor's mailbox
  *    (postConsoleInput / postInterruptFromHost), which any thread may
  *    call at any time; delivery happens on the owning worker at timer
  *    ticks.
  *
- * Crash-only supervision (FleetConfig::fleetSupervision, §6d): each
- * member carries a health state machine - Healthy -> Degraded (fault
- * pressure) -> Restarting (crash, waiting out backoff) -> back to
- * Healthy via golden-image microreboot, or Quarantined once the
- * restart error budget is gone.  Every decision is made at the slice
- * boundary on the worker that owns the member that round, keyed only
- * on the member's own architectural counters and the global round
- * number, so health histories and healthy-member digests are
- * bit-identical for every worker count.  Recovery is a re-fork of the
- * member's golden image (O(pages-touched), golden_image.h) with a
- * fresh copy of its armed fault plan - the member replays the same
- * injection schedule in its next incarnation - never a PR-style
- * snapshot restore of accumulated state.  A member in restart backoff
- * stays halted but not done, so the round barrier never stalls on it;
- * quarantine marks it done and the fleet moves on.
+ * Crash-only supervision (FleetConfig::fleetSupervision, §6d) is the
+ * fleet's one crash-recovery path.  Each member carries a health
+ * state machine - Healthy -> Degraded (fault pressure) -> Restarting
+ * (crash, waiting out backoff) -> back to Healthy via golden-image
+ * microreboot, or Quarantined once the restart error budget is gone.
+ * Every decision is made at the slice boundary on the worker that
+ * owns the member that round, keyed only on the member's own
+ * architectural counters and the global round number, so health
+ * histories and healthy-member digests are bit-identical for every
+ * worker count.  Recovery is a re-fork of the member's golden image
+ * (O(pages-touched), golden_image.h) with a fresh copy of its armed
+ * fault plan - the member replays the same injection schedule in its
+ * next incarnation - never a restore of accumulated state.  A forked
+ * member reboots from the image it was forked from; an addVm member
+ * is sealed into an image of its own the first time startVm starts
+ * it, so every supervised member has one.  A member in restart
+ * backoff stays halted but not done, so the round barrier never
+ * stalls on it; quarantine marks it done and the fleet moves on.
  */
 
 #ifndef VVAX_VMM_FLEET_H
@@ -63,7 +66,6 @@
 #include "fault/fault_plan.h"
 #include "vmm/golden_image.h"
 #include "vmm/hypervisor.h"
-#include "vmm/vm_monitor.h"
 
 namespace vvax {
 
@@ -120,7 +122,7 @@ struct FleetConfig
     int workers = 1;
     /**
      * Instructions per member per round.  Rounds are the barrier
-     * points: stats merge and supervisor polls happen between them.
+     * points: stats merge and supervision decisions happen at them.
      * The slice is in instructions, not wall time, so scheduling is
      * identical for every worker count.
      */
@@ -130,35 +132,15 @@ struct FleetConfig
     /** Configuration applied to every member's Hypervisor. */
     HypervisorConfig hypervisor;
     /**
-     * Supervise members with VmSupervisor: snapshot healthy VMs and
-     * restart fault-halted ones at round barriers (vm_monitor.h).
-     * Forked members ignore this - their golden image *is* the
-     * baseline, so crash recovery re-forks instead (forkRestartBudget).
-     */
-    bool supervise = false;
-    VmSupervisorConfig supervisor;
-    /**
-     * Re-fork budget per forked member: a member added with
-     * addForkedMember whose VM halts with a restartable reason
-     * (VmSupervisor::restartable) is replaced by a fresh fork of its
-     * golden image at the slice boundary, at most this many times.
-     * Re-forking is O(pages-touched) where a snapshot restore is
-     * O(memory); the member keeps its index, fault identity and armed
-     * fault plan across the re-fork.
-     */
-    int forkRestartBudget = 0;
-    /**
      * Maximum members this fleet may ever host (its spawn budget);
      * 0 means unbounded.  addVm/addForkedMember throw once reached -
      * the density backstop for golden-image fork storms.
      */
     int spawnBudget = 0;
     /**
-     * Crash-only supervision of forked members: health state machine
-     * plus golden-image microreboot with backoff and an error budget
-     * (see the file comment).  Supersedes forkRestartBudget for fleets
-     * that enable it; addVm members without a golden image quarantine
-     * on crash instead of microrebooting.
+     * Crash-only supervision: health state machine plus golden-image
+     * microreboot with backoff and an error budget (see the file
+     * comment).  Off, a crashed member simply stays halted.
      */
     FleetSupervisionConfig fleetSupervision;
 };
@@ -199,7 +181,7 @@ class HypervisorFleet
 
     /**
      * Decommission member @p i (between runs): its VM halts with
-     * VmmPolicy and the member is never re-forked or restarted.
+     * VmmPolicy and the member is never microrebooted.
      * Siblings are unaffected.
      */
     void killMember(int i);
@@ -212,6 +194,14 @@ class HypervisorFleet
     // Convenience pass-throughs to the member's hypervisor.
     void loadVmImage(int i, PhysAddr vm_pa, std::span<const Byte> image);
     void loadVmDisk(int i, Longword block, std::span<const Byte> data);
+    /**
+     * Start member @p i's VM at @p start_pc.  Under fleetSupervision
+     * the first start of an addVm member also seals it into a
+     * member-owned golden image, the source of its microreboots; the
+     * member keeps running on its own machine, which sealing only
+     * reads.  Supervised addVm members must be started here, not
+     * through hypervisor(i).
+     */
     void startVm(int i, VirtAddr start_pc);
 
     /**
@@ -236,10 +226,6 @@ class HypervisorFleet
     Stats totalMachineStats() const;
     /** Aggregate per-VM counters over all members (VmStats::operator+=). */
     VmStats totalVmStats() const;
-    /** Supervisor restarts performed across the fleet. */
-    std::uint64_t restarts() const;
-    /** Golden-image re-forks performed across the fleet. */
-    std::uint64_t forkRestarts() const;
 
     // ----- Crash-only supervision observability (§6d) -----------------------
     /** Member @p i's current health (call between runs). */
@@ -271,9 +257,10 @@ class HypervisorFleet
          *  from this, so a fresh incarnation replays the same
          *  schedule instead of inheriting consumed firing budgets. */
         std::unique_ptr<FaultPlan> planPristine;
-        std::unique_ptr<VmSupervisor> supervisor;
-        const GoldenImage *image = nullptr; //!< non-null: forked member
-        int forkRestartsLeft = 0;
+        /** Microreboot source: the image the member was forked from,
+         *  or `ownImage` for a supervised addVm member. */
+        const GoldenImage *image = nullptr;
+        std::unique_ptr<GoldenImage> ownImage; //!< sealed at first start
         bool killed = false; //!< killMember: never restarted
         std::uint64_t budgetLeft = 0;
         bool done = false;
@@ -302,9 +289,6 @@ class HypervisorFleet
 
     void checkSpawnBudget() const;
     void runSlice(Member &m);
-    /** Replace a crashed forked member with a fresh fork; retires the
-     *  dead machine's counters into the aggregate first. */
-    void refork(Member &m);
     // ----- Crash-only supervision (fleet.cc §6d) ----------------------------
     /** Health state machine + recovery, run at the slice boundary by
      *  the worker owning @p m this round. */
@@ -331,11 +315,10 @@ class HypervisorFleet
 
     mutable std::mutex mergeMutex_;
     Stats barrierStats_;
-    /** Counters of machines retired by refork()/microreboot(), so
-     *  aggregates cover every incarnation.  Guarded by mergeMutex_. */
+    /** Counters of machines retired by microreboot(), so aggregates
+     *  cover every incarnation.  Guarded by mergeMutex_. */
     Stats retiredStats_;
     VmStats retiredVmStats_;
-    std::uint64_t forkRestarts_ = 0;
     std::uint64_t microreboots_ = 0;
     std::uint64_t quarantines_ = 0;
     std::uint64_t pagesRecopied_ = 0;

@@ -21,6 +21,11 @@
  * work identically over either backing.  A snapshot is also the
  * source material for GoldenImage::seal (vmm/golden_image.h), which
  * freezes it into an immutable image that forks share pages with.
+ *
+ * Restore always builds a new VM; nothing rolls a running VM back in
+ * place.  Crash recovery is a microreboot - a fresh fork of the
+ * member's golden image (vmm/fleet.h) - so a snapshot is a migration
+ * and sealing format, not a recovery checkpoint.
  */
 
 #ifndef VVAX_VMM_SNAPSHOT_H
@@ -83,31 +88,11 @@ VmSnapshot snapshotVm(Hypervisor &hv, const VirtualMachine &vm);
 VirtualMachine &restoreVm(Hypervisor &hv, const VmSnapshot &snap);
 
 /**
- * Roll an *existing* VM back to @p snap without allocating anything:
- * the VM keeps its identity (id, real-memory slice, MMIO window) and
- * has its memory, disk and virtualized state overwritten.  The shadow
- * page tables are dropped (they are caches — see the file comment)
- * via Hypervisor::resetVmShadow, and the console transcript is *not*
- * replayed: output already emitted stays emitted, and the restored VM
- * continues the transcript from where the real console is.
- *
- * This is the supervisor's crash-recovery primitive (VmSupervisor):
- * snapshot periodically, and when the VM halts with a fault-class
- * reason, restore in place and continue.
- *
- * Throws std::invalid_argument if @p snap's geometry (memory or disk
- * size) does not match the VM it is being restored into.
- */
-void restoreVmInPlace(Hypervisor &hv, VirtualMachine &vm,
-                      const VmSnapshot &snap);
-
-/**
  * Copy @p snap's virtualized registers, execution context, run state,
  * pending interrupts and uptime mailbox into @p vm — everything
  * except the memory/disk payloads and the console transcript.  The
- * shared core of restoreVm/restoreVmInPlace, also used by
- * GoldenImage::fork (which gets memory and disk from the sealed image
- * instead of snapshot vectors).
+ * shared core of restoreVm and GoldenImage::fork (which gets memory
+ * and disk from the sealed image instead of snapshot vectors).
  */
 void applyVmSnapshotState(VirtualMachine &vm, const VmSnapshot &snap);
 

@@ -18,16 +18,19 @@
  *   SHOW                       - one-line VM status
  *
  * Addresses and values are hexadecimal.
+ *
+ * Crash recovery is not the console's job: a supervised
+ * HypervisorFleet microreboots a crashed VM from its golden image
+ * (vmm/fleet.h).
  */
 
 #ifndef VVAX_VMM_VM_MONITOR_H
 #define VVAX_VMM_VM_MONITOR_H
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "vmm/hypervisor.h"
-#include "vmm/snapshot.h"
 
 namespace vvax {
 
@@ -42,91 +45,6 @@ class VmMonitor
   private:
     Hypervisor &hv_;
     VirtualMachine &vm_;
-};
-
-struct VmSupervisorConfig
-{
-    /** Instructions run between supervisor polls. */
-    std::uint64_t sliceInstructions = 20000;
-    /** Refresh a healthy VM's snapshot every this many polls. */
-    int snapshotEveryPolls = 4;
-    /** Restarts allowed per watched VM before giving up on it. */
-    int restartBudget = 3;
-};
-
-/**
- * Crash containment with supervised restart (DESIGN.md Section 7e).
- *
- * The paper's security-kernel argument is that a VM can only destroy
- * itself: the VMM converts every guest-induced disaster into a halt
- * of that one VM.  VmSupervisor closes the availability half of that
- * argument - it periodically snapshots each watched VM (while the VM
- * is healthy) and, when one halts with a fault-class reason, rolls it
- * back in place (restoreVmInPlace) and lets it continue, within a
- * bounded restart budget.  Unwatched VMs and VMs that halt cleanly
- * (HaltInstruction: the guest OS asked to stop) are never restarted.
- */
-class VmSupervisor
-{
-  public:
-    VmSupervisor(Hypervisor &hv, VmSupervisorConfig config = {})
-        : hv_(hv), config_(config)
-    {
-    }
-
-    /**
-     * Begin supervising @p vm, taking its baseline snapshot now (the
-     * VM must be in a state worth restoring to - typically just after
-     * startVm or a known-good checkpoint).
-     */
-    void watch(VirtualMachine &vm);
-
-    /**
-     * One supervision pass: restart watched VMs that halted with a
-     * restartable reason (budget permitting) and refresh due
-     * snapshots of healthy ones.  Returns the number of restarts
-     * performed.  The hypervisor must be outside run().
-     */
-    int poll();
-
-    /**
-     * Run the hypervisor in slices, polling between slices, until all
-     * VMs are done (halted with no restart forthcoming) or
-     * @p max_instructions have executed.
-     */
-    RunState runSupervised(std::uint64_t max_instructions);
-
-    /** Restarts performed over this supervisor's lifetime. */
-    std::uint64_t restarts() const { return restarts_; }
-
-    /** Halt reasons the supervisor will restart from. */
-    static bool restartable(VmHaltReason reason)
-    {
-        switch (reason) {
-          case VmHaltReason::NonExistentMemory:
-          case VmHaltReason::KernelStackNotValid:
-          case VmHaltReason::BadPageTable:
-          case VmHaltReason::VmmPolicy:
-          case VmHaltReason::VmmInternal:
-            return true;
-          default: // None (healthy) and HaltInstruction (clean exit)
-            return false;
-        }
-    }
-
-  private:
-    struct Watched
-    {
-        VirtualMachine *vm;
-        VmSnapshot snap;
-        int restartsLeft;
-        int pollsSinceSnapshot = 0;
-    };
-
-    Hypervisor &hv_;
-    VmSupervisorConfig config_;
-    std::vector<Watched> watched_;
-    std::uint64_t restarts_ = 0;
 };
 
 } // namespace vvax

@@ -64,19 +64,6 @@ class VmDisk
         std::memcpy(view_.data(), bytes.data(), bytes.size());
     }
 
-    /**
-     * Overwrite the contents in place without moving the storage
-     * (restoreVmInPlace: the data() pointer must stay stable).  Sizes
-     * must match; every block becomes part of the private overlay.
-     */
-    void
-    overwrite(std::span<const Byte> bytes)
-    {
-        std::memcpy(view_.data(), bytes.data(),
-                    std::min(bytes.size(), view_.size()));
-        markWritten(0, dirty_.size());
-    }
-
     std::size_t size() const { return view_.size(); }
     Byte *data() { return view_.data(); }
     const Byte *data() const { return view_.data(); }
@@ -185,6 +172,26 @@ enum class VmHaltReason : Byte {
     VmmPolicy,            //!< the VMM shut it down
     VmmInternal,          //!< VMM invariant violated servicing the VM
 };
+
+/**
+ * Halt reasons a supervisor recovers from: the crash classes.  None
+ * (still running) and HaltInstruction (the guest OS asked to stop)
+ * are final.
+ */
+constexpr bool
+restartable(VmHaltReason reason)
+{
+    switch (reason) {
+      case VmHaltReason::NonExistentMemory:
+      case VmHaltReason::KernelStackNotValid:
+      case VmHaltReason::BadPageTable:
+      case VmHaltReason::VmmPolicy:
+      case VmHaltReason::VmmInternal:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** A pending virtual interrupt (device-level). */
 struct VirtualInterrupt

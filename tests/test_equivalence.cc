@@ -217,9 +217,9 @@ TEST(EquivalenceTimer, VirtualizationSurvivesPreemption)
 //
 // The interpreter's host fast path (pointer-carrying TLB entries, the
 // decoder's zero-copy instruction window, the predecoded-instruction
-// cache) must be invisible: running the same workload with the fast
-// path disabled (Mmu::setReferencePath, which VVAX_EXEC_TIER=ref
-// turns on) must yield bit-identical architectural state AND
+// cache) must be invisible: running the same workload on the
+// reference tier (ExecTier::Reference, which also puts the MMU on its
+// reference path) must yield bit-identical architectural state AND
 // bit-identical Stats counters (docs/ARCHITECTURE.md, "Host fast path
 // vs simulated cost model").
 
@@ -287,7 +287,8 @@ lockstepBareProgram(std::uint32_t seed, bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     m.cpu().setPc(b.origin());
@@ -308,7 +309,8 @@ lockstepFuzzBytes(std::uint32_t seed, bool reference)
         b = static_cast<Byte>(rng());
 
     RealMachine m;
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     m.loadImage(0x200, bytes);
     m.cpu().setPc(0x200);
     m.cpu().psl().setIpl(31);
@@ -326,7 +328,8 @@ lockstepVirtualProgram(std::uint32_t seed, bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     auto image = b.finish();
@@ -352,7 +355,8 @@ lockstepMiniVmsBare(bool reference)
     mc.ramBytes = cfg.memBytes;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     cfg.diskCsrPfn = mc.diskCsrBase >> kPageShift;
     MiniVmsImage img = buildMiniVms(cfg);
     m.loadImage(0, img.image);
@@ -380,7 +384,8 @@ lockstepMiniVmsVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     Hypervisor hv(m);
     VmConfig vc;
     vc.memBytes = cfg.memBytes;
@@ -424,7 +429,8 @@ lockstepPaperMixBare(MachineModel model, bool reference)
     mc.model = model;
     mc.level = MicrocodeLevel::Standard;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     cfg.diskCsrPfn = mc.diskCsrBase >> kPageShift;
     MiniVmsImage img = buildMiniVms(cfg);
     m.loadImage(0, img.image);
@@ -446,7 +452,8 @@ lockstepPaperMixVirtual(MachineModel model, bool reference)
     mc.model = model;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     HypervisorConfig hc;
     hc.shadowTableCache = true;
     Hypervisor hv(m, hc);
@@ -474,7 +481,8 @@ lockstepContextSwitchVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildContextSwitchLoop(400);
@@ -495,7 +503,8 @@ lockstepTrapDenseVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildTrapDenseLoop(500);
@@ -522,8 +531,7 @@ lockstepSmcBare(bool cross_page, bool reference,
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     MicroGuestImage img = buildSmcPatchLoop(600, cross_page);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -544,8 +552,7 @@ lockstepSmcVirtual(bool cross_page, bool reference,
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildSmcPatchLoop(600, cross_page);
@@ -578,8 +585,7 @@ lockstepExternalPatch(bool reference,
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     const VirtAddr lit_addr = b.labelAddress(loop) + 1;
@@ -617,8 +623,7 @@ lockstepBranchPatchBare(bool cross_page, bool reference,
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     MicroGuestImage img = buildBranchPatchLoop(600, cross_page);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -647,8 +652,7 @@ lockstepBranchPatchVirtual(bool cross_page, bool reference,
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildBranchPatchLoop(600, cross_page);
@@ -692,8 +696,7 @@ lockstepExternalLinkSever(bool reference,
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     const VirtAddr lit_addr = b.labelAddress(next) + 1;
@@ -747,8 +750,7 @@ lockstepExternalLinkSeverVirtual(bool reference,
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : tier);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     auto image = b.finish();
@@ -786,7 +788,8 @@ lockstepMiniUltrixVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     Hypervisor hv(m);
     VmConfig vc;
     vc.memBytes = cfg.memBytes;
@@ -808,7 +811,8 @@ lockstepIoDenseBare(bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     MicroGuestImage img = buildIoDenseLoop(200, false);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -831,7 +835,8 @@ lockstepIoDenseVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildIoDenseLoop(60, true);
@@ -1135,13 +1140,35 @@ TEST(FastPathLockstep, MiniUltrixBootVirtualized)
 
 TEST(FastPathLockstep, EnvironmentVariableSelectsReferencePath)
 {
-    RealMachine m;
-    EXPECT_FALSE(m.mmu().referencePath())
-        << "fast path is the default";
-    m.mmu().setReferencePath(true);
-    EXPECT_TRUE(m.mmu().referencePath());
-    m.mmu().setReferencePath(false);
-    EXPECT_FALSE(m.mmu().referencePath());
+    // The exec tier is the one switch for the MMU reference path, in
+    // both directions - also on a machine built under
+    // VVAX_EXEC_TIER=ref and then moved to another tier.
+    const char *prior = getenv("VVAX_EXEC_TIER");
+    const std::string saved = prior != nullptr ? prior : "";
+    unsetenv("VVAX_EXEC_TIER");
+    {
+        RealMachine m;
+        EXPECT_FALSE(m.mmu().referencePath())
+            << "fast path is the default";
+    }
+    setenv("VVAX_EXEC_TIER", "ref", 1);
+    {
+        RealMachine m;
+        EXPECT_TRUE(m.mmu().referencePath());
+        for (ExecTier tier :
+             {ExecTier::Fast, ExecTier::Blocks, ExecTier::Threaded}) {
+            m.cpu().setExecTier(tier);
+            EXPECT_FALSE(m.mmu().referencePath())
+                << "tier " << static_cast<int>(tier)
+                << " must leave the reference path";
+            m.cpu().setExecTier(ExecTier::Reference);
+            EXPECT_TRUE(m.mmu().referencePath());
+        }
+    }
+    if (prior != nullptr)
+        setenv("VVAX_EXEC_TIER", saved.c_str(), 1);
+    else
+        unsetenv("VVAX_EXEC_TIER");
 }
 
 TEST(FastPathLockstep, IoDenseLoopBare)

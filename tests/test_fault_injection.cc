@@ -4,8 +4,9 @@
  * grammar and decision semantics, the bare-disk and VMM injection
  * sites, guest-side graceful degradation (retry with backoff, batch
  * fallback, machine-check survival), the no-forward-progress
- * watchdog, supervised restart from snapshots, and the two headline
- * robustness properties of the paper's security-kernel argument:
+ * watchdog, supervised restart by golden-image microreboot, and the
+ * two headline robustness properties of the paper's security-kernel
+ * argument:
  *
  *  - determinism: the same plan produces bit-identical outcomes on
  *    the host fast path and the reference interpreter, and across
@@ -30,9 +31,9 @@
 #include "guest/miniultrix.h"
 #include "guest/minivms.h"
 #include "tests/harness.h"
+#include "vmm/fleet.h"
 #include "vmm/hypervisor.h"
 #include "vmm/kcall.h"
-#include "vmm/vm_monitor.h"
 
 namespace vvax {
 namespace {
@@ -591,29 +592,38 @@ TEST(Watchdog, DoesNotFireOnAHealthyGuest)
 }
 
 // ---------------------------------------------------------------------------
-// Supervised restart
+// Supervised restart: a supervised fleet of one microreboots its VM
+// from the golden image sealed when startVm first started it
 // ---------------------------------------------------------------------------
 
 TEST(Supervisor, ClassifiesRestartableHaltReasons)
 {
-    EXPECT_FALSE(VmSupervisor::restartable(VmHaltReason::None));
-    EXPECT_FALSE(VmSupervisor::restartable(VmHaltReason::HaltInstruction))
+    EXPECT_FALSE(restartable(VmHaltReason::None));
+    EXPECT_FALSE(restartable(VmHaltReason::HaltInstruction))
         << "an orderly guest shutdown is final";
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::NonExistentMemory));
-    EXPECT_TRUE(
-        VmSupervisor::restartable(VmHaltReason::KernelStackNotValid));
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::BadPageTable));
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::VmmPolicy));
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::VmmInternal));
+    EXPECT_TRUE(restartable(VmHaltReason::NonExistentMemory));
+    EXPECT_TRUE(restartable(VmHaltReason::KernelStackNotValid));
+    EXPECT_TRUE(restartable(VmHaltReason::BadPageTable));
+    EXPECT_TRUE(restartable(VmHaltReason::VmmPolicy));
+    EXPECT_TRUE(restartable(VmHaltReason::VmmInternal));
+}
+
+/** Fleet settings shared by the supervised fleets of one below. */
+FleetConfig
+supervisedFleetOfOne(int restart_budget)
+{
+    FleetConfig fc;
+    fc.sliceInstructions = 5000;
+    fc.machine.ramBytes = 16 * 1024 * 1024;
+    fc.machine.level = MicrocodeLevel::Modified;
+    fc.fleetSupervision.enabled = true;
+    fc.fleetSupervision.restartBudget = restart_budget;
+    return fc;
 }
 
 TEST(Supervisor, RestartsACrashingVmUntilTheBudgetIsSpent)
 {
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    Hypervisor hv(m);
+    HypervisorFleet fleet(supervisedFleetOfOne(3));
 
     // The guest makes a little progress, then touches VM-physical
     // memory beyond MEMSIZE: a deterministic, restartable crash.
@@ -624,33 +634,25 @@ TEST(Supervisor, RestartsACrashingVmUntilTheBudgetIsSpent)
 
     VmConfig vc;
     vc.memBytes = 256 * 1024;
-    VirtualMachine &vm = hv.createVm(vc);
+    const int i = fleet.addVm(vc);
     auto image = b.finish();
-    hv.loadVmImage(vm, 0x200, image);
-    hv.startVm(vm, 0x200);
+    fleet.loadVmImage(i, 0x200, image);
+    fleet.startVm(i, 0x200);
+    fleet.run(2000000);
 
-    VmSupervisorConfig sc;
-    sc.sliceInstructions = 5000;
-    sc.restartBudget = 3;
-    VmSupervisor sup(hv, sc);
-    sup.watch(vm);
-    sup.runSupervised(2000000);
-
-    EXPECT_EQ(sup.restarts(), 3u) << "the budget bounds the restarts";
-    EXPECT_EQ(m.stats().vmRestarts, 3u);
-    EXPECT_EQ(vm.haltReason, VmHaltReason::NonExistentMemory)
+    EXPECT_EQ(fleet.microreboots(), 3u) << "the budget bounds the restarts";
+    EXPECT_EQ(fleet.totalMachineStats().supMicroreboots, 3u);
+    EXPECT_EQ(fleet.vm(i).haltReason, VmHaltReason::NonExistentMemory)
         << "after the last restart the crash stands";
-    EXPECT_EQ(m.memory().read32(vm.vmPhysToReal(0x3000)), 1u)
-        << "each restart rolled the counter back to the snapshot";
+    EXPECT_EQ(fleet.machine(i).memory().read32(
+                  fleet.vm(i).vmPhysToReal(0x3000)),
+              1u)
+        << "each restart rolled the counter back to the sealed image";
 }
 
 TEST(Supervisor, CleanHaltIsNotRestarted)
 {
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    Hypervisor hv(m);
+    HypervisorFleet fleet(supervisedFleetOfOne(3));
 
     CodeBuilder b(0x200);
     b.movl(Op::imm(0x600D), Op::abs(0x3000));
@@ -658,18 +660,17 @@ TEST(Supervisor, CleanHaltIsNotRestarted)
 
     VmConfig vc;
     vc.memBytes = 256 * 1024;
-    VirtualMachine &vm = hv.createVm(vc);
+    const int i = fleet.addVm(vc);
     auto image = b.finish();
-    hv.loadVmImage(vm, 0x200, image);
-    hv.startVm(vm, 0x200);
+    fleet.loadVmImage(i, 0x200, image);
+    fleet.startVm(i, 0x200);
+    fleet.run(2000000);
 
-    VmSupervisor sup(hv);
-    sup.watch(vm);
-    sup.runSupervised(2000000);
-
-    EXPECT_EQ(sup.restarts(), 0u);
-    EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
-    EXPECT_EQ(m.memory().read32(vm.vmPhysToReal(0x3000)), 0x600Du);
+    EXPECT_EQ(fleet.microreboots(), 0u);
+    EXPECT_EQ(fleet.vm(i).haltReason, VmHaltReason::HaltInstruction);
+    EXPECT_EQ(fleet.machine(i).memory().read32(
+                  fleet.vm(i).vmPhysToReal(0x3000)),
+              0x600Du);
 }
 
 // ---------------------------------------------------------------------------
@@ -729,7 +730,8 @@ runFaultedMiniVms(bool reference, const FaultPlan *spec_plan)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     // A fresh plan per run: rules carry firing budgets.
     FaultPlan plan;
     if (spec_plan != nullptr) {
@@ -1027,25 +1029,24 @@ TEST(FaultSweep, LockstepHoldsUnderTheEnvironmentPlan)
 
 TEST(FaultSweep, SupervisedGuestSurvivesTheEnvironmentPlan)
 {
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    Hypervisor hv(m);
+    // The environment plan is armed on the member's first incarnation
+    // only: a microreboot re-arms just a plan given to setFaultPlan,
+    // so any later incarnation runs plan-free.
+    HypervisorFleet fleet(supervisedFleetOfOne(3));
     MiniVmsConfig cfg = smallDiskHeavyVms();
     VmConfig vc;
     vc.memBytes = cfg.memBytes;
-    VirtualMachine &vm = hv.createVm(vc);
+    const int i = fleet.addVm(vc);
     MiniVmsImage img = buildMiniVms(cfg);
-    hv.loadVmImage(vm, 0, img.image);
-    hv.startVm(vm, img.entry);
-
-    VmSupervisor sup(hv);
-    sup.watch(vm);
-    ASSERT_NO_THROW(sup.runSupervised(400000000));
+    fleet.loadVmImage(i, 0, img.image);
+    fleet.startVm(i, img.entry);
+    ASSERT_NO_THROW(fleet.run(400000000));
 
     // The host machine wound down in an orderly fashion whatever the
-    // plan did to the guest.
+    // plan did to the guest.  (Read the member after the run: a
+    // microreboot replaces its machine.)
+    RealMachine &m = fleet.machine(i);
+    VirtualMachine &vm = fleet.vm(i);
     EXPECT_EQ(m.cpu().haltReason(), HaltReason::ExternalRequest);
     const Longword magic =
         m.memory().read32(vm.vmPhysToReal(img.resultBase));
@@ -1060,7 +1061,7 @@ TEST(FaultSweep, SupervisedGuestSurvivesTheEnvironmentPlan)
         // the VMM couldn't contain.
         EXPECT_TRUE(magic == MiniVmsImage::kResultMagic ||
                     vm.haltReason == VmHaltReason::HaltInstruction ||
-                    VmSupervisor::restartable(vm.haltReason));
+                    restartable(vm.haltReason));
     }
 }
 

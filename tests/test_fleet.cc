@@ -153,7 +153,8 @@ runMiniVms(bool async, const FaultPlan *spec_plan = nullptr,
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    if (reference)
+        m.cpu().setExecTier(ExecTier::Reference);
     FaultPlan plan; // fresh per run: rules carry firing budgets
     if (spec_plan != nullptr) {
         plan = *spec_plan;
@@ -363,20 +364,22 @@ struct FleetOutcome
 {
     std::vector<MemberOutcome> members;
     VmStats totalVm;
-    std::uint64_t restarts = 0;
 
     bool operator==(const FleetOutcome &other) const = default;
 };
 
 /** Build the 4-VM mixed fleet: two MiniVMS mixes, one MiniUltrix,
- *  one disk-heavy MiniVMS - all with async disk I/O on. */
+ *  one disk-heavy MiniVMS - all with async disk I/O on, and crash-only
+ *  supervision on if @p supervised. */
 FleetOutcome
 runMixedFleet(int workers,
               const std::vector<const FaultPlan *> *plans = nullptr,
-              const std::vector<ExecTier> *tiers = nullptr)
+              const std::vector<ExecTier> *tiers = nullptr,
+              bool supervised = false)
 {
     FleetConfig fc;
     fc.workers = workers;
+    fc.fleetSupervision.enabled = supervised;
     fc.sliceInstructions = 50000;
     fc.machine.ramBytes = 16 * 1024 * 1024;
     fc.machine.level = MicrocodeLevel::Modified;
@@ -460,7 +463,6 @@ runMixedFleet(int workers,
         out.members.push_back(std::move(mo));
     }
     out.totalVm = fleet.totalVmStats();
-    out.restarts = fleet.restarts();
     return out;
 }
 
@@ -693,50 +695,78 @@ TEST(FleetConsole, ConcurrentPostsFromAnotherThreadAreSafe)
 
 TEST(FleetSupervisor, RestartsACrashingMemberAndLeavesSiblingsAlone)
 {
-    FleetConfig fc;
-    fc.workers = 2;
-    fc.sliceInstructions = 5000;
-    fc.machine.ramBytes = 16 * 1024 * 1024;
-    fc.machine.level = MicrocodeLevel::Modified;
-    fc.supervise = true;
-    fc.supervisor.restartBudget = 3;
-    HypervisorFleet fleet(fc);
+    // Both members are addVm members: each is sealed into its own
+    // golden image at startVm, so the crashing one microreboots back
+    // to its just-started state.
+    auto runCrashAndClean = [](int workers) {
+        FleetConfig fc;
+        fc.workers = workers;
+        fc.sliceInstructions = 5000;
+        fc.machine.ramBytes = 16 * 1024 * 1024;
+        fc.machine.level = MicrocodeLevel::Modified;
+        fc.fleetSupervision.enabled = true;
+        fc.fleetSupervision.restartBudget = 3;
+        HypervisorFleet fleet(fc);
 
-    // Member 0 crashes deterministically (reads past MEMSIZE after a
-    // little progress); member 1 halts cleanly.
-    CodeBuilder crash(0x200);
-    crash.incl(Op::abs(0x3000));
-    crash.movl(Op::abs(0x00F00000), Op::reg(R0));
-    crash.halt();
+        // Member 0 crashes deterministically (reads past MEMSIZE after
+        // a little progress); member 1 halts cleanly.
+        CodeBuilder crash(0x200);
+        crash.incl(Op::abs(0x3000));
+        crash.movl(Op::abs(0x00F00000), Op::reg(R0));
+        crash.halt();
 
-    CodeBuilder clean(0x200);
-    clean.movl(Op::imm(0x600D), Op::abs(0x3000));
-    clean.halt();
+        CodeBuilder clean(0x200);
+        clean.movl(Op::imm(0x600D), Op::abs(0x3000));
+        clean.halt();
 
-    VmConfig vc;
-    vc.memBytes = 256 * 1024;
-    const int bad = fleet.addVm(vc);
-    auto crash_img = crash.finish();
-    fleet.loadVmImage(bad, 0x200, crash_img);
-    fleet.startVm(bad, 0x200);
+        VmConfig vc;
+        vc.memBytes = 256 * 1024;
+        const int bad = fleet.addVm(vc);
+        auto crash_img = crash.finish();
+        fleet.loadVmImage(bad, 0x200, crash_img);
+        fleet.startVm(bad, 0x200);
 
-    const int good = fleet.addVm(vc);
-    auto clean_img = clean.finish();
-    fleet.loadVmImage(good, 0x200, clean_img);
-    fleet.startVm(good, 0x200);
+        const int good = fleet.addVm(vc);
+        auto clean_img = clean.finish();
+        fleet.loadVmImage(good, 0x200, clean_img);
+        fleet.startVm(good, 0x200);
 
-    fleet.run(2000000);
+        fleet.run(2000000);
 
-    EXPECT_EQ(fleet.restarts(), 3u) << "the budget bounds the restarts";
-    EXPECT_EQ(fleet.vm(bad).haltReason, VmHaltReason::NonExistentMemory);
-    EXPECT_EQ(fleet.machine(bad).memory().read32(
-                  fleet.vm(bad).vmPhysToReal(0x3000)),
-              1u)
-        << "each restart rolled the counter back to the snapshot";
-    EXPECT_EQ(fleet.vm(good).haltReason, VmHaltReason::HaltInstruction);
-    EXPECT_EQ(fleet.machine(good).memory().read32(
-                  fleet.vm(good).vmPhysToReal(0x3000)),
-              0x600Du);
+        EXPECT_EQ(fleet.microreboots(), 3u)
+            << "the budget bounds the restarts";
+        EXPECT_EQ(fleet.vm(bad).haltReason,
+                  VmHaltReason::NonExistentMemory);
+        EXPECT_EQ(fleet.machine(bad).memory().read32(
+                      fleet.vm(bad).vmPhysToReal(0x3000)),
+                  1u)
+            << "each restart rolled the counter back to the sealed image";
+        EXPECT_EQ(fleet.vm(good).haltReason, VmHaltReason::HaltInstruction);
+        EXPECT_EQ(fleet.machine(good).memory().read32(
+                      fleet.vm(good).vmPhysToReal(0x3000)),
+                  0x600Du);
+
+        FleetOutcome out;
+        for (int i = 0; i < fleet.size(); ++i) {
+            MemberOutcome mo;
+            RealMachine &m = fleet.machine(i);
+            VirtualMachine &vm = fleet.vm(i);
+            mo.vmMemory = vmMemoryDigest(m, vm);
+            mo.vmDisk = fnv1a(vm.disk);
+            mo.console = vm.console.output();
+            mo.vmStats = vm.stats;
+            mo.stats = m.stats();
+            out.members.push_back(std::move(mo));
+        }
+        out.totalVm = fleet.totalVmStats();
+        return out;
+    };
+
+    const FleetOutcome one = runCrashAndClean(1);
+    const FleetOutcome two = runCrashAndClean(2);
+    EXPECT_TRUE(one == two)
+        << "recovery is decided per member at the slice boundary, so "
+           "the worker count is invisible";
 }
 
 // ---------------------------------------------------------------------------
@@ -817,7 +847,6 @@ runForkedFleet(int workers, const GoldenImage &image,
         out.members.push_back(std::move(mo));
     }
     out.totalVm = fleet.totalVmStats();
-    out.restarts = fleet.restarts();
     return out;
 }
 
@@ -1034,7 +1063,6 @@ runSupervisedForkedFleet(int workers, const GoldenImage &image,
         out.health.push_back(fleet.health(i));
     }
     out.base.totalVm = fleet.totalVmStats();
-    out.base.restarts = fleet.restarts();
     out.microreboots = fleet.microreboots();
     out.quarantines = fleet.quarantines();
     out.pagesRecopied = fleet.pagesRecopied();
@@ -1125,6 +1153,26 @@ TEST(FleetSupervision, CrashingForksAreMicrorebootedThenQuarantined)
         << "microreboot scheduling is keyed on rounds, not threads";
     EXPECT_TRUE(two == rerun)
         << "crash recovery replays bit for bit";
+}
+
+TEST(FleetSupervision, FirstStartSealIsArchitecturallyInvisible)
+{
+    // Under supervision startVm seals every addVm member into its own
+    // golden image.  Sealing only reads the member, so a member that
+    // never crashes must retire exactly what it retires unsupervised:
+    // memory, disk and console digests, VmStats and architectural
+    // Stats.
+    const std::vector<const FaultPlan *> clean = {nullptr, nullptr,
+                                                  nullptr, nullptr};
+    const FleetOutcome plain = runMixedFleet(2, &clean);
+    const FleetOutcome sealed = runMixedFleet(2, &clean, nullptr, true);
+    ASSERT_EQ(plain.members.size(), sealed.members.size());
+    for (std::size_t i = 0; i < plain.members.size(); ++i) {
+        EXPECT_TRUE(plain.members[i] == sealed.members[i])
+            << "member " << i
+            << ": the first-start seal must be architecturally invisible";
+    }
+    EXPECT_TRUE(plain == sealed);
 }
 
 TEST(FleetSupervision, ForkLineageKeepsFaultIdentityStable)

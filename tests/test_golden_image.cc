@@ -435,7 +435,7 @@ TEST(GoldenImage, ForkBeforeSealThrows)
 }
 
 // ---------------------------------------------------------------------------
-// Fleet integration: re-fork and spawn budgets
+// Fleet integration: microreboot (re-fork) and spawn budgets
 // ---------------------------------------------------------------------------
 
 /** Seal a crash-looping guest (reads past MEMSIZE after bumping a
@@ -469,14 +469,15 @@ TEST(GoldenFleet, ReforkBudgetBoundsCrashRecovery)
     fc.workers = 2;
     fc.sliceInstructions = 5000;
     fc.machine = gold.machineConfig();
-    fc.forkRestartBudget = 3;
+    fc.fleetSupervision.enabled = true;
+    fc.fleetSupervision.restartBudget = 3;
     HypervisorFleet fleet(fc);
     const int bad = fleet.addForkedMember(gold);
     fleet.setFaultPlan(bad, nullptr);
 
     fleet.run(2000000);
 
-    EXPECT_EQ(fleet.forkRestarts(), 3u)
+    EXPECT_EQ(fleet.microreboots(), 3u)
         << "the budget bounds golden-image re-forks";
     EXPECT_EQ(fleet.vm(bad).haltReason, VmHaltReason::NonExistentMemory);
     EXPECT_EQ(fleet.machine(bad).memory().read32(
@@ -594,7 +595,8 @@ TEST(GoldenFleet, KilledForkStaysDownDespiteReforkBudget)
     fc.workers = 1;
     fc.sliceInstructions = 5000;
     fc.machine = gold.machineConfig();
-    fc.forkRestartBudget = 100;
+    fc.fleetSupervision.enabled = true;
+    fc.fleetSupervision.restartBudget = 100;
     HypervisorFleet fleet(fc);
     const int i = fleet.addForkedMember(gold);
     fleet.setFaultPlan(i, nullptr);
@@ -602,7 +604,7 @@ TEST(GoldenFleet, KilledForkStaysDownDespiteReforkBudget)
 
     fleet.run(2000000);
 
-    EXPECT_EQ(fleet.forkRestarts(), 0u)
+    EXPECT_EQ(fleet.microreboots(), 0u)
         << "a decommissioned member is never re-forked";
     EXPECT_EQ(fleet.vm(i).haltReason, VmHaltReason::VmmPolicy);
     EXPECT_EQ(fleet.machine(i).memory().read32(

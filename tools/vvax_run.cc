@@ -273,6 +273,17 @@ runSupervisedFleet(int forks, const char *golden,
     return 0;
 }
 
+int
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: vvax_run [--vm] [--trace] [--origin A] "
+                 "[--max N] [--forks=N [--golden=minivms] "
+                 "[--supervise] [--workers=N] [--plan SPEC]] "
+                 "prog.s\n");
+    return 2;
+}
+
 } // namespace
 
 int
@@ -290,6 +301,7 @@ main(int argc, char **argv)
     bool supervise = false;
     int workers = 1;
     const char *plan_spec = nullptr;
+    bool fleet_flags = false; // any of the three above given
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--vm")) {
@@ -311,10 +323,13 @@ main(int argc, char **argv)
             golden = argv[i] + 9;
         } else if (!std::strcmp(argv[i], "--supervise")) {
             supervise = true;
+            fleet_flags = true;
         } else if (!std::strncmp(argv[i], "--workers=", 10)) {
             workers = std::atoi(argv[i] + 10);
+            fleet_flags = true;
         } else if (!std::strcmp(argv[i], "--plan") && i + 1 < argc) {
             plan_spec = argv[++i];
+            fleet_flags = true;
         } else if (argv[i][0] != '-') {
             path = argv[i];
         } else {
@@ -322,6 +337,10 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    // The fleet options only mean something to a fork fleet; refuse
+    // them rather than silently run a single machine.
+    if (forks <= 0 && fleet_flags)
+        return usage();
     if (forks > 0 && golden != nullptr) {
         // Built-in guest: no assembly file needed.
         if (supervise)
@@ -331,14 +350,8 @@ main(int argc, char **argv)
         return runForkStorm(forks, golden, {}, origin, max_instr,
                             stats);
     }
-    if (!path) {
-        std::fprintf(stderr,
-                     "usage: vvax_run [--vm] [--trace] [--origin A] "
-                     "[--max N] [--forks=N [--golden=minivms] "
-                     "[--supervise] [--workers=N] [--plan SPEC]] "
-                     "prog.s\n");
-        return 2;
-    }
+    if (!path)
+        return usage();
 
     std::ifstream in(path);
     if (!in) {
